@@ -67,7 +67,7 @@ int main() {
     const double per_tree = 1.0 / std::max(1, r.stats.trees);
     std::printf("%-10s %3d %10.2fms %10.2fms %10.2fms %10.2fms %10lld %8lld\n",
                 r.trainer.c_str(), r.d,
-                NsToMs(r.stats.build_hist_ns + r.stats.reduce_ns) * per_tree,
+                NsToMs(r.stats.build_hist_ns) * per_tree,
                 NsToMs(r.stats.find_split_ns) * per_tree,
                 NsToMs(r.stats.apply_split_ns) * per_tree,
                 MsPerTree(r.stats),
@@ -104,7 +104,7 @@ int main() {
     for (const Row& r : rows) {
       if (r.trainer != name) continue;
       const double build =
-          NsToMs(r.stats.build_hist_ns + r.stats.reduce_ns) /
+          NsToMs(r.stats.build_hist_ns) /
           std::max(1, r.stats.trees);
       if (base == 0.0) base = build;
       std::printf(" %8.2fx", build / base);
@@ -136,7 +136,7 @@ int main() {
     std::printf(
         "%-10s %10.2fms %10.2fms %10.2fms %10.2fms %10lld %10.2f %10.2f\n",
         fused ? "fused" : "phase",
-        NsToMs(stats.build_hist_ns + stats.reduce_ns) * per_tree,
+        NsToMs(stats.build_hist_ns) * per_tree,
         NsToMs(stats.find_split_ns) * per_tree,
         NsToMs(stats.apply_split_ns) * per_tree, MsPerTree(stats),
         static_cast<long long>(stats.sync.parallel_regions /

@@ -29,13 +29,17 @@ void LightGbmBuilder::BuildNodeHist(
 
   // One feature column per task: thread-exclusive write region
   // [BinOffset(f), BinOffset(f+1)), shared read of the node's row ids and
-  // a gather from the global gradient array for every feature.
+  // a gather from the global gradient array for every feature. Each task
+  // clears its own region first (the pool buffer's contents are
+  // unspecified).
   pool_.ParallelForDynamic(
       num_features, 1, [&](int64_t begin, int64_t end, int) {
         for (int64_t f = begin; f < end; ++f) {
           const uint8_t* col = matrix_.ColBins(static_cast<uint32_t>(f));
           GHPair* feature_hist =
               hist + matrix_.BinOffset(static_cast<uint32_t>(f));
+          ClearHistogram(feature_hist,
+                         matrix_.NumBins(static_cast<uint32_t>(f)));
           for (const uint32_t rid : row_ids) {
             feature_hist[col[rid]].Add(grads[rid].g, grads[rid].h);
           }

@@ -119,9 +119,10 @@ class HistBuilderDP {
     int64_t regions_total = 0;    // threads x block nodes, summed
   };
 
-  // Builds histograms for `nodes` (already acquired in ctx.hists).
-  // Returns the wall nanoseconds spent in the reduction step (reported
-  // separately in the Fig. 4 breakdown).
+  // Builds histograms for `nodes` (already acquired in ctx.hists; their
+  // contents are unspecified — the reduce writes every slot). Returns the
+  // wall nanoseconds spent in the reduction step (reported nested in the
+  // build phase of the Fig. 4 breakdown).
   int64_t Build(const BuildContext& ctx, std::span<const int> nodes);
 
   // Fused-step form: collective — every region thread calls it with its
@@ -204,9 +205,10 @@ class HistBuilderMP {
   // Fused-step support: stages the <node_blk x feature_blk x bin_blk>
   // cube task list for `nodes` into member scratch (serial; grow-only)
   // and returns the task count. Distinct tasks write disjoint histogram
-  // regions, so any thread may RunTask any staged index in any order —
-  // this is what lets the builder's overlap scheduler start a node's
-  // subtract/find as soon as that node's cubes drain.
+  // regions, each zeroing its own region before accumulating (together
+  // they write every slot), so any thread may RunTask any staged index in
+  // any order — this is what lets the builder's overlap scheduler start a
+  // node's subtract/find as soon as that node's cubes drain.
   size_t StageTasks(const BuildContext& ctx, std::span<const int> nodes);
   void RunTask(const BuildContext& ctx, size_t task_index) const;
   // Nodes written by staged task `task_index` (its node block).
@@ -254,7 +256,8 @@ class HistBuilderMP {
 };
 
 // Serial per-node build used by ASYNC node tasks (one thread builds the
-// whole node, tiled by feature blocks).
+// whole node, tiled by feature blocks). Clears `hist` first, so it may come
+// straight from HistogramPool::Acquire.
 void BuildHistSerial(const BuildContext& ctx, int node_id, GHPair* hist);
 
 }  // namespace harp

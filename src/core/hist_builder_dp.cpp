@@ -204,7 +204,10 @@ void HistBuilderDP::ReduceRange(int64_t begin, int64_t end) {
   // Deterministic reduction, blocked: each thread sums contiguous slot
   // runs with AddHistogram (vectorizable), in ascending thread order per
   // slot — the same floating-point order as before — and replicas of
-  // threads that never touched a node are skipped outright.
+  // threads that never touched a node are skipped outright. The pool
+  // buffer arrives with unspecified contents, so this range writes every
+  // slot it owns: the first contributor assigns (0 + src, exactly what
+  // zero-then-add produced), and a node no thread touched is cleared.
   int64_t s = begin;
   while (s < end) {
     const size_t local_node = static_cast<size_t>(s) / total_bins_;
@@ -212,12 +215,13 @@ void HistBuilderDP::ReduceRange(int64_t begin, int64_t end) {
     const size_t len =
         std::min(static_cast<size_t>(end - s), total_bins_ - slot);
     GHPair* out = dst_[local_node] + slot;
-    for (int t : contributors_[local_node]) {
-      AddHistogram(out,
-                   replicas_.data() +
-                       static_cast<size_t>(t) * replica_stride_ +
-                       static_cast<size_t>(s),
-                   len);
+    const std::vector<int>& contrib = contributors_[local_node];
+    if (contrib.empty()) ClearHistogram(out, len);
+    for (size_t c = 0; c < contrib.size(); ++c) {
+      const GHPair* src = replicas_.data() +
+                          static_cast<size_t>(contrib[c]) * replica_stride_ +
+                          static_cast<size_t>(s);
+      c == 0 ? AssignHistogram(out, src, len) : AddHistogram(out, src, len);
     }
     s += static_cast<int64_t>(len);
   }
@@ -229,7 +233,7 @@ void HistBuilderDP::ReduceRangeQuant(int64_t begin, int64_t end) {
   // histogram. Integer addition is order-independent and dequantization is
   // exact (integer x power of two), so the result is bit-identical for any
   // thread count, schedule, and kernel table. Nodes no thread touched are
-  // skipped: their pool histogram is already zero from Acquire.
+  // cleared here: the pool histogram arrives with unspecified contents.
   constexpr size_t kChunk = 1024;
   alignas(kHistAlignBytes) int64_t tmp[kChunk];
   const int simd = static_cast<int>(simd_);
@@ -255,6 +259,8 @@ void HistBuilderDP::ReduceRangeQuant(int64_t begin, int64_t end) {
       }
       DequantizeHistogram(tmp, dst_[local_node] + slot, len, quant_->scales,
                           simd);
+    } else {
+      ClearHistogram(dst_[local_node] + slot, len);
     }
     s += static_cast<int64_t>(len);
   }

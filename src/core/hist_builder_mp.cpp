@@ -4,6 +4,30 @@
 #include "core/hist_builder.h"
 
 namespace harp {
+namespace {
+
+// Zeroes the slots one <feature_blk x bin_blk> cube owns in one node's
+// histogram (f64 pool buffer or int64 arena stride), just before the cube
+// accumulates into them: the zeroing runs cache-hot and in parallel across
+// cubes. Cubes tile the histogram, so together they write every slot.
+template <typename Cell>
+void ClearCube(const BinnedMatrix& matrix, Range fb, Range bins,
+               bool full_bins, Cell* hist) {
+  if (full_bins) {
+    std::fill(hist + matrix.BinOffset(fb.first),
+              hist + matrix.BinOffset(fb.second), Cell{});
+    return;
+  }
+  for (uint32_t f = fb.first; f < fb.second; ++f) {
+    const uint32_t num_bins = matrix.NumBins(f);
+    if (bins.first >= num_bins) continue;
+    Cell* feature = hist + matrix.BinOffset(f);
+    std::fill(feature + bins.first,
+              feature + std::min(bins.second, num_bins), Cell{});
+  }
+}
+
+}  // namespace
 
 size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
                                  std::span<const int> nodes) {
@@ -73,9 +97,9 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
   // Quantized mode: cube tasks accumulate into a flat arena of int64
   // cells (one aligned stride per node — cubes of different nodes must
   // not share a cache line) instead of the pool's f64 histograms;
-  // DequantizeNode converts when a node's cubes have all drained. The
-  // arena is cleared here, in serial staging: it is the int64 analogue of
-  // the pool zeroing the f64 buffers at Acquire.
+  // DequantizeNode converts when a node's cubes have all drained. Like
+  // the pool buffers, the arena is not cleared here: each cube zeroes its
+  // own region in RunTask.
   staged_nodes_ = nodes.size();
   if (quant_ != nullptr) {
     qstride_ = AlignedSlotCount<int64_t>(total_bins_);
@@ -88,7 +112,6 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
     for (size_t i = 0; i < nodes.size(); ++i) {
       qhist_of_[i] = qhists_.data() + i * qstride_;
     }
-    ClearHistogramI64(qhists_.data(), needed);
   }
   const size_t cap_after =
       feature_blocks_.capacity() + bin_ranges_.capacity() +
@@ -99,16 +122,18 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
 
 void HistBuilderMP::RunTask(const BuildContext& ctx,
                             size_t task_index) const {
-  (void)ctx;
   const Task& task = tasks_[task_index];
   const Range fb = feature_blocks_[task.feature_block];
   const Range bins = bin_ranges_[task.bin_range];
+  const bool full_bins = bin_ranges_.size() == 1;
   for (int node : node_blocks_[task.node_block]) {
     const size_t pos = node_pos_[static_cast<size_t>(node)];
     if (quant_ != nullptr) {
+      ClearCube(ctx.matrix, fb, bins, full_bins, qhist_of_[pos]);
       qkernel_(km_, source_of_[pos], 0, rows_of_[pos], qhist_of_[pos], fb,
                bins);
     } else {
+      ClearCube(ctx.matrix, fb, bins, full_bins, hist_of_[pos]);
       kernel_(km_, source_of_[pos], 0, rows_of_[pos], hist_of_[pos], fb,
               bins);
     }
@@ -162,6 +187,8 @@ void BuildHistSerial(const BuildContext& ctx, int node_id, GHPair* hist) {
                        ctx.simd);
   const HistRowSource src = MakeHistRowSource(ctx.partitioner, node_id);
   const uint32_t rows = ctx.partitioner.NodeSize(node_id);
+  // The calling node task owns `hist` (unspecified contents from the pool).
+  ClearHistogram(hist, ctx.matrix.TotalBins());
   for (const Range& fb : feature_blocks) {
     kernel(km, src, 0, rows, hist, fb, {0u, 256u});
   }

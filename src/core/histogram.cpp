@@ -11,13 +11,16 @@ GHPair* HistogramPool::Acquire(int node_id) {
   std::lock_guard<SpinMutex> lock(mutex_);
   HARP_CHECK(in_use_.find(node_id) == in_use_.end())
       << "node " << node_id << " already owns a histogram";
+  // A recycled buffer keeps its previous node's contents: the producer
+  // overwrites every slot in its own parallel work (see histogram.h). Only
+  // growth past the high-water mark allocates, and allocation value-
+  // initialises the new buffer.
   Buffer buffer;
   if (!free_list_.empty()) {
     buffer = std::move(free_list_.back());
     free_list_.pop_back();
-    std::fill(buffer.begin(), buffer.end(), GHPair{});
   } else {
-    buffer.assign(total_bins_, GHPair{});
+    buffer.resize(total_bins_);
   }
   auto [it, inserted] = in_use_.emplace(node_id, std::move(buffer));
   HARP_CHECK(inserted);
@@ -70,6 +73,11 @@ size_t HistogramPool::PeakBytes() const {
 void AddHistogram(GHPair* __restrict dst, const GHPair* __restrict src,
                   size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+void AssignHistogram(GHPair* __restrict dst, const GHPair* __restrict src,
+                     size_t n) {
+  for (size_t i = 0; i < n; ++i) dst[i] = GHPair{} + src[i];
 }
 
 void SubtractHistogram(GHPair* __restrict out, const GHPair* __restrict parent,

@@ -6,6 +6,12 @@
 // once — and supports the parent-minus-sibling subtraction trick. Acquire/
 // Release are guarded by a spin mutex so ASYNC worker threads can allocate
 // node histograms concurrently.
+//
+// Ownership: Acquire hands out a buffer with unspecified contents and never
+// writes it. Whoever produces a node's histogram writes every slot, inside
+// the parallel work that touches those slots anyway (DP reduce, MP cube,
+// subtraction, dequantize); serial `+=` builders ClearHistogram their own
+// buffer first. See DESIGN.md, "Histogram ownership".
 #pragma once
 
 #include <cstddef>
@@ -27,8 +33,9 @@ class HistogramPool {
 
   size_t total_bins() const { return total_bins_; }
 
-  // Returns a zeroed histogram registered under `node_id`; the node must
-  // not already own one. Thread safe.
+  // Returns a histogram with UNSPECIFIED contents registered under
+  // `node_id`; the node must not already own one. The caller writes every
+  // slot before anyone reads it. Thread safe.
   GHPair* Acquire(int node_id);
 
   // Histogram of `node_id` (must exist). Thread safe.
@@ -58,6 +65,11 @@ class HistogramPool {
 
 // dst[i] += src[i] over `n` slots.
 void AddHistogram(GHPair* dst, const GHPair* src, size_t n);
+
+// dst[i] = GHPair{} + src[i] over `n` slots: the first contributor of a
+// reduction into an unspecified buffer. Bit-identical to ClearHistogram
+// followed by AddHistogram; unlike a plain copy it turns -0.0 into +0.0.
+void AssignHistogram(GHPair* dst, const GHPair* src, size_t n);
 
 // out[i] = parent[i] - sibling[i] over `n` slots (the subtraction trick:
 // the larger child's histogram for free).

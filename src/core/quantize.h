@@ -123,8 +123,8 @@ void QuantizeGradients(const std::vector<GradientPair>& gradients,
                        AlignedVector<int32_t>* out);
 
 // out[i] = {CellG(cells[i]) * g_inv, CellH(cells[i]) * h_inv} over n slots;
-// dispatches to the simd level's table. Overwrites every slot, which is
-// what lets the pool skip zero-filling f64 buffers in quantized mode.
+// dispatches to the simd level's table. Overwrites every slot, so `out`
+// may come straight from HistogramPool::Acquire (unspecified contents).
 void DequantizeHistogram(const int64_t* cells, GHPair* out, size_t n,
                          const QuantScales& scales, int simd_level);
 

@@ -21,8 +21,10 @@ std::string TrainStats::Report() const {
   out += StrFormat("trees=%d wall=%s (%.1f ms/tree)\n", trees,
                    HumanDuration(NsToSec(wall_ns)).c_str(),
                    SecondsPerTree() * 1e3);
+  // Top-level phases are disjoint intervals of wall time; the DP reduce is
+  // a sub-interval of build_hist, so it is printed nested inside it.
   out += StrFormat(
-      "phases: build_hist=%s reduce=%s find_split=%s apply_split=%s "
+      "phases: build_hist=%s (reduce=%s) find_split=%s apply_split=%s "
       "gradients=%s quantize=%s update=%s\n",
       HumanDuration(NsToSec(build_hist_ns)).c_str(),
       HumanDuration(NsToSec(reduce_ns)).c_str(),

@@ -22,7 +22,8 @@ struct TrainStats {
   // For ASYNC the phases overlap across threads, so build/find/apply hold
   // summed per-thread task time instead (documented where reported).
   int64_t build_hist_ns = 0;
-  int64_t reduce_ns = 0;      // DP model-replica reduction
+  int64_t reduce_ns = 0;      // DP model-replica reduction: a sub-interval
+                              // of build_hist_ns, not a sibling phase
   int64_t find_split_ns = 0;
   int64_t apply_split_ns = 0;
   int64_t gradient_ns = 0;    // per-iteration gradient computation

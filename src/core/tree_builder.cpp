@@ -234,10 +234,12 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
 void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
   const size_t total_bins = matrix_.TotalBins();
   const BuildContext ctx = Context();
-  PlanBuild(tree);
 
   {
+    // Planning (histogram acquisition) counts toward the build phase, as
+    // on the fused path.
     const Stopwatch watch;
+    PlanBuild(tree);
     if (plan_mode_ == ParallelMode::kDP) {
       reduce_ns_ += dp_.Build(ctx, build_list_);
     } else {

@@ -200,10 +200,12 @@ void HarpTreeBuilder::FusedStep(RegTree& tree) {
     partitioner_.ApplySplitBatchInRegion(
         split_tasks_, matrix_, region, thread_id,
         // Epilogue of the partition's last barrier: rows are final, so
-        // plan the build/subtract/find work before peers resume.
+        // plan the build/subtract/find work before peers resume. The
+        // planning (histogram acquisition, build/find staging) is booked
+        // to the build phase, not to apply.
         [this, &tree] {
-          PlanAfterPartition(tree);
           t_apply_end_ = NowNs();
+          PlanAfterPartition(tree);
         });
 
     if (plan_mode_ == ParallelMode::kDP) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -239,6 +240,42 @@ TEST(Gbdt, StatsAccumulateAcrossTrees) {
   EXPECT_GT(stats.update_ns, 0);
   EXPECT_GT(stats.sync.parallel_regions, 0);
   EXPECT_FALSE(stats.Report().empty());
+}
+
+// The phases TrainStats::Report lists at top level are disjoint intervals
+// of training wall time, so they cannot add up to more than it. The DP
+// reduce is timed inside build_hist and is printed nested in it, never as
+// a sibling phase. Checked on both grow schedulers.
+TEST(Gbdt, ReportedTopLevelPhasesAreDisjoint) {
+  const Dataset train = LearnableData(3000);
+  for (const bool fused : {true, false}) {
+    TrainParams p = FastParams();
+    p.mode = ParallelMode::kDP;
+    p.tree_size = 6;
+    p.num_trees = 5;
+    p.use_fused_step = fused;
+    TrainStats stats;
+    GbdtTrainer(p).Train(train, &stats);
+
+    EXPECT_GT(stats.reduce_ns, 0) << "fused=" << fused;
+    EXPECT_LE(stats.reduce_ns, stats.build_hist_ns) << "fused=" << fused;
+    const int64_t top_level = stats.build_hist_ns + stats.find_split_ns +
+                              stats.apply_split_ns + stats.gradient_ns +
+                              stats.quantize_ns + stats.update_ns;
+    EXPECT_LE(top_level, stats.wall_ns) << "fused=" << fused;
+
+    const std::string report = stats.Report();
+    const size_t begin = report.find("phases: ");
+    ASSERT_NE(begin, std::string::npos);
+    std::string phases = report.substr(begin, report.find('\n', begin) - begin);
+    const size_t open = phases.find(" (reduce=");
+    ASSERT_NE(open, std::string::npos) << phases;
+    EXPECT_EQ(phases.find(' ', phases.find("build_hist=")), open)
+        << "reduce must be nested right after build_hist: " << phases;
+    phases.erase(open, phases.find(')', open) + 1 - open);
+    EXPECT_EQ(phases.find("reduce"), std::string::npos)
+        << "reduce listed as a top-level phase: " << phases;
+  }
 }
 
 TEST(Gbdt, CallbackSeesEveryIteration) {

@@ -1,12 +1,17 @@
 // Histogram tests: pool lifecycle, subtraction, and the central property
-// sweep — DP and MP block-wise builders must reproduce a naive serial
-// reference histogram for EVERY block configuration, thread count and
-// MemBuf setting.
+// sweep — DP and MP block-wise builders (f64 and quantized) must reproduce
+// a naive serial reference histogram for EVERY block configuration, thread
+// count and MemBuf setting, writing every slot of a pool buffer whose
+// previous contents are garbage.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/hist_builder.h"
+#include "core/simd.h"
 #include "test_util.h"
 
 namespace harp {
@@ -16,19 +21,22 @@ using harp::testing::MakeDataset;
 using harp::testing::MakeGradients;
 using harp::testing::NaiveHist;
 
-// ---------- HistogramPool ----------
-
-TEST(HistogramPool, AcquireZeroesRecycledBuffers) {
-  HistogramPool pool(8);
-  GHPair* a = pool.Acquire(1);
-  a[3] = GHPair{1.0, 2.0};
-  pool.Release(1);
-  GHPair* b = pool.Acquire(2);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(b[i], GHPair{}) << "slot " << i;
+// Acquire, fill with NaN, release, re-acquire: every node in `nodes` then
+// owns a recycled buffer whose contents are all NaN. Acquire promises
+// nothing about contents, so a builder that skips any slot shows up as a
+// NaN in that slot.
+void AcquirePoisoned(HistogramPool& pool, const std::vector<int>& nodes) {
+  const GHPair nan{std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::quiet_NaN()};
+  for (int node : nodes) {
+    GHPair* h = pool.Acquire(node);
+    std::fill(h, h + pool.total_bins(), nan);
   }
-  pool.Release(2);
+  for (int node : nodes) pool.Release(node);
+  for (int node : nodes) pool.Acquire(node);
 }
+
+// ---------- HistogramPool ----------
 
 TEST(HistogramPool, TracksPeak) {
   HistogramPool pool(4);
@@ -106,6 +114,7 @@ struct BuilderCase {
   int bin_blk;       // 256 = disabled (DP ignores)
   bool membuf;
   int threads;
+  bool quant = false;  // int64 accumulation (QuantRound in the context)
 };
 
 std::string CaseName(const ::testing::TestParamInfo<BuilderCase>& info) {
@@ -116,6 +125,7 @@ std::string CaseName(const ::testing::TestParamInfo<BuilderCase>& info) {
   name += "_b" + std::to_string(c.bin_blk);
   name += c.membuf ? "_membuf" : "_gather";
   name += "_t" + std::to_string(c.threads);
+  if (c.quant) name += "_quant";
   return name;
 }
 
@@ -140,42 +150,74 @@ TEST_P(HistBuilderSweep, MatchesNaiveReference) {
   RowPartitioner partitioner(rows, c.membuf);
   partitioner.Reset(gh, /*max_nodes=*/8, &pool);
 
-  // Split the root on feature 0 so we have three nodes (1, 2 from the
-  // split, plus we rebuild the root into node 3... keep 1 and 2).
+  // Split the root on feature 0, then split node 1 again on the same
+  // condition: every row of node 1 goes left, so node 3 holds them all
+  // and node 4 is empty. Nodes 2, 3, 4 are built.
   const uint32_t split_bin =
       std::max(1u, (matrix.NumBins(0) - 1) / 2);
   partitioner.ApplySplit(0, 1, 2, matrix, 0, split_bin,
                          /*default_left=*/false, &pool);
-  ASSERT_GT(partitioner.NodeSize(1), 0u);
+  partitioner.ApplySplit(1, 3, 4, matrix, 0, split_bin,
+                         /*default_left=*/false, &pool);
   ASSERT_GT(partitioner.NodeSize(2), 0u);
+  ASSERT_GT(partitioner.NodeSize(3), 0u);
+  ASSERT_EQ(partitioner.NodeSize(4), 0u);
 
-  HistogramPool hists(matrix.TotalBins());
-  hists.Acquire(1);
-  hists.Acquire(2);
-  const BuildContext ctx{matrix, params, pool, partitioner, hists};
-  const std::vector<int> nodes{1, 2};
-  HistBuilderDP dp;
-  HistBuilderMP mp;
-  if (c.use_mp) {
-    mp.Build(ctx, nodes);
-  } else {
-    dp.Build(ctx, nodes);
+  // Quantized cases: the builders sum the packed pairs exactly, so the
+  // reference is NaiveHist over the dequantized per-row pairs (multiples
+  // of a power of two whose sums stay exact in double) and must match
+  // bit for bit.
+  QuantRound qround;
+  std::vector<GradientPair> ref_gh = gh;
+  if (c.quant) {
+    qround.scales = ComputeQuantScales(gh, nullptr);
+    QuantizeGradients(gh, qround.scales, false, 0, 0, nullptr,
+                      &qround.packed);
+    for (uint32_t r = 0; r < rows; ++r) {
+      ref_gh[r].g = static_cast<float>(QuantG(qround.packed[r]) *
+                                       qround.scales.g_inv);
+      ref_gh[r].h = static_cast<float>(QuantH(qround.packed[r]) *
+                                       qround.scales.h_inv);
+    }
   }
 
-  // Reference per node.
-  for (int node : nodes) {
-    std::vector<uint32_t> node_rows;
-    partitioner.ForEachRowRange(
-        node, 0, partitioner.NodeSize(node),
-        [&](uint32_t rid, float, float) { node_rows.push_back(rid); });
-    const std::vector<GHPair> expected = NaiveHist(matrix, gh, node_rows);
-    const GHPair* actual = hists.Get(node);
-    for (size_t s = 0; s < expected.size(); ++s) {
-      ASSERT_NEAR(actual[s].g, expected[s].g, 1e-9)
-          << "node " << node << " slot " << s;
-      ASSERT_NEAR(actual[s].h, expected[s].h, 1e-9)
-          << "node " << node << " slot " << s;
+  HistogramPool hists(matrix.TotalBins());
+  const BuildContext ctx{matrix,      params, pool,
+                         partitioner, hists,  c.quant ? &qround : nullptr,
+                         ResolveSimdLevel(params.simd)};
+  const std::vector<int> nodes{2, 3, 4};
+  HistBuilderDP dp;
+  HistBuilderMP mp;
+  // Twice: the second build also runs over the builders' own scratch (DP
+  // replicas, MP int64 arena) left dirty by the first.
+  for (int iter = 0; iter < 2; ++iter) {
+    AcquirePoisoned(hists, nodes);
+    if (c.use_mp) {
+      mp.Build(ctx, nodes);
+    } else {
+      dp.Build(ctx, nodes);
     }
+
+    for (int node : nodes) {
+      std::vector<uint32_t> node_rows;
+      partitioner.ForEachRow(
+          node, [&](uint32_t rid, float, float) { node_rows.push_back(rid); });
+      const std::vector<GHPair> expected =
+          NaiveHist(matrix, ref_gh, node_rows);
+      const GHPair* actual = hists.Get(node);
+      for (size_t s = 0; s < expected.size(); ++s) {
+        if (c.quant) {
+          ASSERT_EQ(actual[s], expected[s])
+              << "iter " << iter << " node " << node << " slot " << s;
+        } else {
+          ASSERT_NEAR(actual[s].g, expected[s].g, 1e-9)
+              << "iter " << iter << " node " << node << " slot " << s;
+          ASSERT_NEAR(actual[s].h, expected[s].h, 1e-9)
+              << "iter " << iter << " node " << node << " slot " << s;
+        }
+      }
+    }
+    hists.ReleaseAll();
   }
 }
 
@@ -197,8 +239,88 @@ INSTANTIATE_TEST_SUITE_P(
         BuilderCase{true, 3, 1, 8, true, 4},
         BuilderCase{true, 4, 2, 4, false, 4},
         BuilderCase{true, 0, 2, 16, false, 2},
-        BuilderCase{true, 11, 2, 256, false, 3}),
+        BuilderCase{true, 11, 2, 256, false, 3},
+        // Quantized DP (int64 replicas) and MP (int64 cube arena)
+        BuilderCase{false, 0, 1, 256, true, 4, true},
+        BuilderCase{false, 3, 2, 256, false, 3, true},
+        BuilderCase{true, 0, 1, 256, true, 4, true},
+        BuilderCase{true, 3, 2, 8, true, 4, true},
+        BuilderCase{true, 4, 1, 4, false, 3, true}),
     CaseName);
+
+// The DP reduce writes each slot as 0 + (first contributor), never as a
+// plain copy, so its output is bit-identical to zeroing the buffer and
+// then AddHistogram-ing every contributor. The difference is the sign of
+// zero: 0.0 + -0.0 is +0.0. A copy would carry a -0.0 into the pool
+// histogram, and the sparse wire codec counts -0.0 as a touched cell.
+TEST(HistogramKernels, AssignMatchesZeroThenAddIncludingSignedZero) {
+  const std::vector<GHPair> src{
+      {-0.0, -0.0}, {-0.0, 1.5}, {2.25, -0.0}, {-3.0, 0.0}, {0.0, -0.0}};
+  const size_t n = src.size();
+  std::vector<GHPair> reference(n, GHPair{7.0, 7.0});
+  ClearHistogram(reference.data(), n);
+  AddHistogram(reference.data(), src.data(), n);
+  std::vector<GHPair> out(n, GHPair{std::nan(""), std::nan("")});
+  AssignHistogram(out.data(), src.data(), n);
+  EXPECT_EQ(std::memcmp(out.data(), reference.data(), n * sizeof(GHPair)),
+            0);
+  EXPECT_FALSE(std::signbit(out[0].g));
+  EXPECT_FALSE(std::signbit(out[0].h));
+}
+
+// End to end through the DP reduce: gradients with -0.0f entries (and
+// small dyadic values whose sums are exact in any order), 4 threads,
+// NaN-poisoned pool buffers. The output must be memcmp-equal to a zeroed
+// buffer plus AddHistogram of the exact sums — in particular no cell may
+// come out as -0.0. (Replica cells start at +0.0, and +0.0 + -0.0 is
+// +0.0, so accumulation itself never produces -0.0; the kernel test above
+// covers a -0.0 arriving at the reduce.)
+TEST(HistogramReduce, DpOutputBitIdenticalToZeroThenAdd) {
+  const uint32_t rows = 600;
+  const Dataset ds = MakeDataset(rows, 7, 0.8, 41, /*distinct=*/9);
+  const BinnedMatrix matrix =
+      BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 16));
+  std::vector<GradientPair> gh(rows);
+  for (uint32_t r = 0; r < rows; ++r) {
+    gh[r].g = r % 3 == 0 ? -0.0f : static_cast<float>(r % 7) * 0.25f - 0.75f;
+    gh[r].h = r % 5 == 0 ? -0.0f : static_cast<float>(r % 4) * 0.5f;
+  }
+
+  TrainParams params;
+  params.node_blk_size = 2;
+  ThreadPool pool(4);
+  RowPartitioner partitioner(rows, /*use_membuf=*/true);
+  partitioner.Reset(gh, /*max_nodes=*/8, &pool);
+  partitioner.ApplySplit(0, 1, 2, matrix, 1,
+                         std::max(1u, (matrix.NumBins(1) - 1) / 2),
+                         /*default_left=*/true, &pool);
+
+  HistogramPool hists(matrix.TotalBins());
+  const std::vector<int> nodes{1, 2};
+  AcquirePoisoned(hists, nodes);
+  const BuildContext ctx{matrix, params, pool, partitioner, hists};
+  HistBuilderDP dp;
+  dp.Build(ctx, nodes);
+
+  for (int node : nodes) {
+    std::vector<uint32_t> node_rows;
+    partitioner.ForEachRow(
+        node, [&](uint32_t rid, float, float) { node_rows.push_back(rid); });
+    const std::vector<GHPair> sums = NaiveHist(matrix, gh, node_rows);
+    std::vector<GHPair> reference(sums.size());
+    ClearHistogram(reference.data(), reference.size());
+    AddHistogram(reference.data(), sums.data(), sums.size());
+    EXPECT_EQ(std::memcmp(hists.Get(node), reference.data(),
+                          reference.size() * sizeof(GHPair)),
+              0)
+        << "node " << node;
+    for (size_t s = 0; s < reference.size(); ++s) {
+      const GHPair& cell = hists.Get(node)[s];
+      EXPECT_FALSE(cell.g == 0.0 && std::signbit(cell.g)) << "slot " << s;
+      EXPECT_FALSE(cell.h == 0.0 && std::signbit(cell.h)) << "slot " << s;
+    }
+  }
+}
 
 // Subtraction-trick cross-check: parent - sibling == direct build.
 TEST(HistogramSubtraction, MatchesDirectBuild) {
