@@ -532,11 +532,18 @@ BENCHMARK(BM_ApplySplitBatch)
     ->Args({8, 0})
     ->Args({8, 1});
 
+// FindSplit over one node histogram, built from the fixture's first
+// range(0) rows (0 = every row of the fixture). Small nodes leave most
+// cells empty, which the split search compacts away; the all-rows root has
+// no empty cells, so there compaction saves nothing.
 void BM_FindSplit(benchmark::State& state) {
   const KernelFixture& f = KernelFixture::Get();
+  const uint32_t rows =
+      state.range(0) == 0 ? f.matrix.num_rows()
+                          : static_cast<uint32_t>(state.range(0));
   std::vector<GHPair> hist(f.matrix.TotalBins());
   GHPair total;
-  for (uint32_t r = 0; r < f.matrix.num_rows(); ++r) {
+  for (uint32_t r = 0; r < rows; ++r) {
     AccumulateRow(f.matrix.RowBins(r), f.gh[r].g, f.gh[r].h, f.matrix,
                   hist.data(), {0u, f.matrix.num_features()}, {0u, 256u});
     total.Add(f.gh[r].g, f.gh[r].h);
@@ -550,7 +557,7 @@ void BM_FindSplit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.matrix.TotalBins());
 }
-BENCHMARK(BM_FindSplit);
+BENCHMARK(BM_FindSplit)->Arg(64)->Arg(1024)->Arg(0);
 
 void BM_QuantileCompute(benchmark::State& state) {
   const KernelFixture& f = KernelFixture::Get();

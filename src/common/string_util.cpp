@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -94,6 +95,72 @@ bool detail::ParseFloatFallback(std::string_view text, float* out) {
   if (!ParseDouble(text, &value)) return false;
   *out = static_cast<float>(value);
   return true;
+}
+
+void AppendHexDouble(std::string* out, double value) {
+  // Written by hand, not with std::to_chars: libstdc++ releases differ in
+  // how to_chars spells subnormals (0x0.8p-1022 vs 0x1p-1023).
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[32];  // "-0x1.fffffffffffffp+1023" is the longest, 24 chars
+  char* p = buf;
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  if ((bits >> 63) != 0) *p++ = '-';
+  const auto biased = static_cast<int>((bits >> 52) & 0x7FF);
+  uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
+  if (biased == 0x7FF) {
+    out->append(buf, p).append(fraction != 0 ? "nan" : "inf");
+    return;
+  }
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  const int exponent =
+      biased != 0 ? biased - 1023 : (fraction != 0 ? -1022 : 0);
+  if (fraction != 0) {
+    // 13 fraction digits, trailing zeros dropped.
+    int digits = 13;
+    while ((fraction & 0xF) == 0) {
+      fraction >>= 4;
+      --digits;
+    }
+    *p++ = '.';
+    for (int i = digits - 1; i >= 0; --i) {
+      p[i] = kDigits[fraction & 0xF];
+      fraction >>= 4;
+    }
+    p += digits;
+  }
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  p = std::to_chars(p, buf + sizeof(buf), exponent < 0 ? -exponent : exponent)
+          .ptr;
+  out->append(buf, p);
+}
+
+bool ParseHexDouble(std::string_view text, double* out) {
+#if defined(__cpp_lib_to_chars)
+  const char* p = text.data();
+  const char* end = p + text.size();
+  const bool negative = p != end && *p == '-';
+  if (negative) ++p;
+  // from_chars takes no "0x" and no sign of its own; requiring a hex digit
+  // after the prefix keeps "0x-1p0" and "0xinf" on strtod's (rejecting)
+  // path. The length limit is ParseDouble's.
+  if (text.size() < 64 && end - p > 2 && p[0] == '0' && p[1] == 'x' &&
+      std::isxdigit(static_cast<unsigned char>(p[2]))) {
+    double value = 0.0;
+    const auto result =
+        std::from_chars(p + 2, end, value, std::chars_format::hex);
+    // Subnormals go to strtod: glibc flags inexact ones ERANGE, which
+    // ParseDouble rejects, and the two paths must agree.
+    if (result.ec == std::errc() && result.ptr == end &&
+        (value == 0.0 || value >= std::numeric_limits<double>::min())) {
+      *out = negative ? -value : value;
+      return true;
+    }
+  }
+#endif
+  return ParseDouble(text, out);
 }
 
 bool ParseInt(std::string_view text, int64_t* out) {

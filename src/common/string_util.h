@@ -104,6 +104,18 @@ inline bool ParseFloat(std::string_view text, float* out) {
   return true;
 }
 
+// Appends `value` exactly as glibc's printf("%a", value) formats it:
+// "[-]0x1.<hex>p<+|-><exp>" for normal values, "[-]0x0.<hex>p-1022" for
+// subnormals, "[-]0x0p+0" for zeros, "[-]inf" / "[-]nan" otherwise. Hex
+// floats round-trip every non-NaN double bit for bit.
+void AppendHexDouble(std::string* out, double value);
+
+// Parses a hex float as AppendHexDouble writes it, via std::from_chars,
+// and anything else (or any value from_chars handles differently from
+// strtod, such as subnormals) via ParseDouble. Accepts exactly the inputs
+// ParseDouble accepts, with the same result.
+bool ParseHexDouble(std::string_view text, double* out);
+
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

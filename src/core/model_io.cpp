@@ -1,10 +1,11 @@
 #include "core/model_io.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <sstream>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace harp {
@@ -12,60 +13,77 @@ namespace {
 
 constexpr const char* kHeader = "harpgbdt-model v1";
 
-void AppendLine(std::string* out, const std::string& line) {
-  out->append(line);
-  out->push_back('\n');
+// Field writers: a space, then the value. Doubles (and floats, widened)
+// are hex floats for exact round trips, formatted as "%a" would.
+void AppendField(std::string* out, double value) {
+  out->push_back(' ');
+  AppendHexDouble(out, value);
 }
 
-// Hex-float formatting for exact roundtrips.
-std::string F(double v) { return StrFormat("%a", v); }
-std::string F(float v) { return StrFormat("%a", static_cast<double>(v)); }
-
-bool ParseHex(std::string_view text, double* out) {
-  return ParseDouble(text, out);  // strtod accepts %a output
+template <typename Int>
+  requires std::integral<Int>
+void AppendField(std::string* out, Int value) {
+  char buf[24];
+  out->push_back(' ');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 }  // namespace
 
 std::string SerializeModel(const GbdtModel& model) {
+  const QuantileCuts& cuts = model.cuts();
+  size_t total_nodes = 0;
+  for (const RegTree& tree : model.trees()) {
+    total_nodes += static_cast<size_t>(tree.num_nodes());
+  }
   std::string out;
-  AppendLine(&out, kHeader);
-  AppendLine(&out, "objective " + ToString(model.objective()));
+  // One allocation: upper bounds on the bytes of each cut_ptr entry, cut
+  // value, tree line and node line (a hex double is at most 25 with its
+  // space, an int 12).
+  out.reserve(256 + 11 * cuts.cut_ptr().size() + 25 * cuts.cuts().size() +
+              24 * model.trees().size() + 260 * total_nodes);
+  out.append(kHeader).append("\nobjective ");
+  out.append(ToString(model.objective()));
   // Only quantile models carry a knob the transform consumer needs; other
   // objectives keep the pre-existing byte layout.
   if (model.objective() == ObjectiveKind::kQuantile) {
-    AppendLine(&out, "quantile_alpha " + F(model.quantile_alpha()));
+    out.append("\nquantile_alpha");
+    AppendField(&out, model.quantile_alpha());
   }
-  AppendLine(&out, "base_margin " + F(model.base_margin()));
+  out.append("\nbase_margin");
+  AppendField(&out, model.base_margin());
 
-  const QuantileCuts& cuts = model.cuts();
-  AppendLine(&out, StrFormat("cuts %u %d", cuts.num_features(),
-                             cuts.max_bins()));
-  {
-    std::string line = "cut_ptr";
-    for (uint32_t v : cuts.cut_ptr()) line += StrFormat(" %u", v);
-    AppendLine(&out, line);
-  }
-  {
-    std::string line = "cut_values";
-    for (float v : cuts.cuts()) line += " " + F(v);
-    AppendLine(&out, line);
-  }
+  out.append("\ncuts");
+  AppendField(&out, cuts.num_features());
+  AppendField(&out, cuts.max_bins());
+  out.append("\ncut_ptr");
+  for (uint32_t v : cuts.cut_ptr()) AppendField(&out, v);
+  out.append("\ncut_values");
+  for (float v : cuts.cuts()) AppendField(&out, static_cast<double>(v));
 
-  AppendLine(&out, StrFormat("trees %zu", model.NumTrees()));
+  out.append("\ntrees");
+  AppendField(&out, model.NumTrees());
   for (const RegTree& tree : model.trees()) {
-    AppendLine(&out, StrFormat("tree %d", tree.num_nodes()));
+    out.append("\ntree");
+    AppendField(&out, tree.num_nodes());
     for (const TreeNode& n : tree.nodes()) {
-      AppendLine(&out,
-                 StrFormat("node %d %d %d %d %u %u %s %d %s %s %s %s %u",
-                           n.parent, n.left, n.right, n.depth,
-                           n.split_feature, n.split_bin,
-                           F(n.split_value).c_str(), n.default_left ? 1 : 0,
-                           F(n.gain).c_str(), F(n.leaf_value).c_str(),
-                           F(n.sum.g).c_str(), F(n.sum.h).c_str(),
-                           n.num_rows));
+      out.append("\nnode");
+      AppendField(&out, n.parent);
+      AppendField(&out, n.left);
+      AppendField(&out, n.right);
+      AppendField(&out, n.depth);
+      AppendField(&out, n.split_feature);
+      AppendField(&out, n.split_bin);
+      AppendField(&out, static_cast<double>(n.split_value));
+      AppendField(&out, n.default_left ? 1 : 0);
+      AppendField(&out, n.gain);
+      AppendField(&out, n.leaf_value);
+      AppendField(&out, n.sum.g);
+      AppendField(&out, n.sum.h);
+      AppendField(&out, n.num_rows);
     }
   }
+  out.push_back('\n');
   return out;
 }
 
@@ -105,8 +123,8 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
     const auto parts = SplitWhitespace(line);
     if (!parts.empty() && parts[0] == "quantile_alpha") {
       double alpha = 0.0;
-      if (parts.size() != 2 || !ParseHex(parts[1], &alpha) || alpha <= 0.0 ||
-          alpha >= 1.0) {
+      if (parts.size() != 2 || !ParseHexDouble(parts[1], &alpha) ||
+          alpha <= 0.0 || alpha >= 1.0) {
         *error = "bad quantile_alpha line";
         return false;
       }
@@ -118,7 +136,7 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
     const auto parts = SplitWhitespace(line);
     double margin = 0.0;
     if (parts.size() != 2 || parts[0] != "base_margin" ||
-        !ParseHex(parts[1], &margin)) {
+        !ParseHexDouble(parts[1], &margin)) {
       *error = "bad base_margin line";
       return false;
     }
@@ -166,7 +184,7 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
     }
     for (size_t i = 1; i < parts.size(); ++i) {
       double v = 0.0;
-      if (!ParseHex(parts[i], &v)) {
+      if (!ParseHexDouble(parts[i], &v)) {
         *error = "bad cut value";
         return false;
       }
@@ -222,10 +240,13 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
       double sum_g = 0.0;
       double sum_h = 0.0;
       int64_t num_rows = 0;
-      if (!ParseHex(parts[7], &split_value) ||
-          !ParseInt(parts[8], &default_left) || !ParseHex(parts[9], &gain) ||
-          !ParseHex(parts[10], &leaf_value) || !ParseHex(parts[11], &sum_g) ||
-          !ParseHex(parts[12], &sum_h) || !ParseInt(parts[13], &num_rows)) {
+      if (!ParseHexDouble(parts[7], &split_value) ||
+          !ParseInt(parts[8], &default_left) ||
+          !ParseHexDouble(parts[9], &gain) ||
+          !ParseHexDouble(parts[10], &leaf_value) ||
+          !ParseHexDouble(parts[11], &sum_g) ||
+          !ParseHexDouble(parts[12], &sum_h) ||
+          !ParseInt(parts[13], &num_rows)) {
         *error = "bad node float field";
         return false;
       }
@@ -271,14 +292,9 @@ bool SaveModel(const std::string& path, const GbdtModel& model,
 }
 
 bool LoadModel(const std::string& path, GbdtModel* out, std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return DeserializeModel(buffer.str(), out, error);
+  std::string text;
+  if (!ReadFileToString(path, &text, error)) return false;
+  return DeserializeModel(text, out, error);
 }
 
 }  // namespace harp

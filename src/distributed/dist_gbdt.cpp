@@ -42,9 +42,13 @@ class ShardWorker {
         simd_level_(ResolveSimdLevel(params.simd)) {}
 
   GbdtModel Run() {
-    const auto objective = Objective::Create(params_.objective);
+    const auto objective =
+        Objective::Create(Objective::ConfigFromParams(params_));
     const double base_margin = objective->InitialMargin(params_.base_score);
     GbdtModel model(params_.objective, base_margin, matrix_.cuts());
+    if (params_.objective == ObjectiveKind::kQuantile) {
+      model.set_quantile_alpha(params_.quantile_alpha);
+    }
     std::vector<double> margins(shard_.num_rows(), base_margin);
     std::vector<GradientPair> gradients;
 
@@ -228,6 +232,22 @@ std::pair<uint32_t, uint32_t> ShardRange(uint32_t rows, int rank, int world) {
   return {begin, end};
 }
 
+// The sharded loop has no row/column sampling and no query groups (shards
+// are contiguous row ranges that may cut a query). Reject those settings
+// loudly instead of silently training a different model.
+void CheckSupported(const TrainParams& params) {
+  HARP_CHECK(params.subsample >= 1.0)
+      << "distributed training does not support subsample < 1 (got "
+      << params.subsample << ")";
+  HARP_CHECK(params.colsample_bytree >= 1.0)
+      << "distributed training does not support colsample_bytree < 1 (got "
+      << params.colsample_bytree << ")";
+  HARP_CHECK(
+      !Objective::Create(Objective::ConfigFromParams(params))->NeedsGroups())
+      << "distributed training does not support objective '"
+      << ToString(params.objective) << "', which needs query groups";
+}
+
 }  // namespace
 
 GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
@@ -235,6 +255,7 @@ GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
                                       const TrainParams& params,
                                       int worker_threads) {
   params.Validate();
+  CheckSupported(params);
   const int world = comm.world_size();
   HARP_CHECK_LE(static_cast<uint32_t>(world), dataset.num_rows());
 
@@ -251,6 +272,7 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
                                          const TrainParams& params,
                                          int worker_threads) {
   params.Validate();
+  CheckSupported(params);
   HARP_CHECK_GE(workers, 1);
   HARP_CHECK_LE(static_cast<uint32_t>(workers), dataset.num_rows());
 

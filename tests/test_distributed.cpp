@@ -506,6 +506,51 @@ TEST(DistributedGbdtDeath, MoreWorkersThanRows) {
   EXPECT_DEATH(DistributedGbdt::Train(data, 8, DistParams(1)), "CHECK");
 }
 
+// The objective's knobs reach the sharded loop: a 0.9-quantile model
+// trains the 0.9 quantile, not the median, and records its alpha.
+TEST(DistributedGbdt, QuantileAlphaIsHonoured) {
+  SyntheticSpec spec;
+  spec.rows = 6000;
+  spec.features = 10;
+  spec.label = LabelKind::kRegression;
+  spec.seed = 411;
+  const Dataset data = GenerateSynthetic(spec);
+  TrainParams p = DistParams(80);
+  p.tree_size = 8;
+  p.objective = ObjectiveKind::kQuantile;
+  p.quantile_alpha = 0.9;
+  p.base_score = 0.0;
+  const GbdtModel model = DistributedGbdt::Train(data, 1, p).model;
+  EXPECT_EQ(model.quantile_alpha(), 0.9);
+  const std::vector<double> preds = model.Predict(data);
+  double covered = 0.0;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (static_cast<double>(data.labels()[i]) <= preds[i]) covered += 1.0;
+  }
+  EXPECT_NEAR(covered / static_cast<double>(preds.size()), 0.9, 0.02);
+}
+
+TEST(DistributedGbdtDeath, RejectsRowSubsampling) {
+  const Dataset data = TrainData(200);
+  TrainParams p = DistParams(1);
+  p.subsample = 0.5;
+  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "subsample < 1");
+}
+
+TEST(DistributedGbdtDeath, RejectsColumnSubsampling) {
+  const Dataset data = TrainData(200);
+  TrainParams p = DistParams(1);
+  p.colsample_bytree = 0.5;
+  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "colsample_bytree < 1");
+}
+
+TEST(DistributedGbdtDeath, RejectsObjectivesThatNeedQueryGroups) {
+  const Dataset data = TrainData(200);
+  TrainParams p = DistParams(1);
+  p.objective = ObjectiveKind::kLambdaRank;
+  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "needs query groups");
+}
+
 // The acceptance gate of the compressed exchange: at every worker count,
 // with and without histogram quantization, on sparse and dense data, the
 // sparse wire format must reproduce the dense f64 oracle's model bit for

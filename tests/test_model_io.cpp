@@ -1,7 +1,14 @@
 // Model serialization tests: bit-exact roundtrips and malformed input.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
+
+#include "common/random.h"
+#include "common/string_util.h"
 
 #include "core/gbdt.h"
 #include "core/model_io.h"
@@ -266,6 +273,128 @@ TEST(ModelIo, SerializationIsStable) {
   ASSERT_TRUE(DeserializeModel(a, &loaded, &error));
   // Serialize(Deserialize(x)) == x: stable fixed point.
   EXPECT_EQ(SerializeModel(loaded), a);
+}
+
+// The byte layout, pinned: every field kind (negative and unsigned ints,
+// widened floats, doubles, the quantile line) in a tiny hand-built model.
+TEST(ModelIo, SerializedLayoutIsPinned) {
+  GbdtModel model(ObjectiveKind::kQuantile, 0.5,
+                  QuantileCuts::FromRaw({0.5f, 2.0f}, {0, 2}, 256));
+  model.set_quantile_alpha(0.9);
+  RegTree tree;
+  tree.mutable_nodes().resize(3);
+  TreeNode& root = tree.mutable_nodes()[0];
+  root.left = 1;
+  root.right = 2;
+  root.split_bin = 1;
+  root.split_value = 0.5f;
+  root.default_left = true;
+  root.gain = 2.5;
+  root.sum = {-1.5, 3.0};
+  root.num_rows = 10;
+  for (int child : {1, 2}) {
+    TreeNode& leaf = tree.mutable_nodes()[static_cast<size_t>(child)];
+    leaf.parent = 0;
+    leaf.depth = 1;
+  }
+  tree.mutable_nodes()[1].leaf_value = -0.1;
+  tree.mutable_nodes()[1].sum = {-1.0, 1.0};
+  tree.mutable_nodes()[1].num_rows = 4;
+  tree.mutable_nodes()[2].leaf_value = 0.25;
+  tree.mutable_nodes()[2].sum = {-0.5, 2.0};
+  tree.mutable_nodes()[2].num_rows = 6;
+  model.AddTree(std::move(tree));
+
+  EXPECT_EQ(SerializeModel(model),
+            "harpgbdt-model v1\n"
+            "objective quantile\n"
+            "quantile_alpha 0x1.ccccccccccccdp-1\n"
+            "base_margin 0x1p-1\n"
+            "cuts 1 256\n"
+            "cut_ptr 0 2\n"
+            "cut_values 0x1p-1 0x1p+1\n"
+            "trees 1\n"
+            "tree 3\n"
+            "node -1 1 2 0 0 1 0x1p-1 1 0x1.4p+1 0x0p+0 -0x1.8p+0 0x1.8p+1 10\n"
+            "node 0 -1 -1 1 0 0 0x0p+0 0 0x0p+0 -0x1.999999999999ap-4 -0x1p+0 "
+            "0x1p+0 4\n"
+            "node 0 -1 -1 1 0 0 0x0p+0 0 0x0p+0 0x1p-2 -0x1p-1 0x1p+1 6\n");
+}
+
+// The model file's number format: AppendHexDouble must write exactly what
+// printf("%a") writes, and ParseHexDouble must read it back bit for bit,
+// over random bit patterns with every class forced in: ±0, subnormals,
+// ±inf, NaN and widened floats (how cut values and split values are
+// written).
+TEST(ModelIo, HexFormatMatchesPrintfAndRoundTripsOnRandomBits) {
+  Rng rng(4242);
+  constexpr int kPatterns = 1 << 20;
+  std::string ours;
+  char want[64];
+  int mismatches = 0;
+  for (int i = 0; i < kPatterns; ++i) {
+    uint64_t bits = rng.NextU64();
+    switch (i % 8) {
+      case 0:
+        bits &= 0x800FFFFFFFFFFFFFull;  // subnormal or ±0
+        break;
+      case 1:
+        bits |= 0x7FF0000000000000ull;  // NaN or ±inf
+        break;
+      case 2:
+        bits = std::bit_cast<uint64_t>(static_cast<double>(
+            std::bit_cast<float>(static_cast<uint32_t>(bits))));
+        break;
+      case 3:
+        bits &= 0x8000000000000000ull;  // ±0
+        break;
+      case 4:
+        bits = (bits & 0x8000000000000000ull) | 0x7FF0000000000000ull;  // ±inf
+        break;
+      default:
+        break;
+    }
+    const double value = std::bit_cast<double>(bits);
+    ours.clear();
+    AppendHexDouble(&ours, value);
+    std::snprintf(want, sizeof(want), "%a", value);
+    if (ours != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex << bits << ": '" << ours
+                    << "' vs printf '" << want << "'";
+    }
+    double parsed = 0.0;
+    ASSERT_TRUE(ParseHexDouble(ours, &parsed)) << ours;
+    if (std::isnan(value)) {
+      // "%a" drops NaN payloads; the sign survives.
+      EXPECT_TRUE(std::isnan(parsed)) << ours;
+      EXPECT_EQ(std::signbit(parsed), std::signbit(value)) << ours;
+    } else {
+      EXPECT_EQ(std::bit_cast<uint64_t>(parsed), bits) << ours;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// ParseHexDouble takes its from_chars path only where that agrees with
+// ParseDouble (strtod): same accepted inputs, same bits.
+TEST(ModelIo, HexParseAgreesWithStrtod) {
+  for (const char* text :
+       {"0x1.8p+1", "-0x1.8p+1", "0x0p+0", "-0x0p+0", "0x1p-1074",
+        "0x1.0000000000001p-1070", "0x1p+1024", "0x1p-1100", "0x1p",
+        "0x1.", "0x.8p1", "0X1P0", "0x1P+0", "+0x1p0", " 0x1p0", "0x1p0 ",
+        "0x-1p0", "-0x-1p0", "0xinf", "0xnan", "0x", "-0x", "inf", "-nan",
+        "1.5", "1e400", "",
+        "0x1.000000000000000000000000000000000000000000000000000000001p0"}) {
+    double fast = 7.0;
+    double slow = 7.0;
+    const bool fast_ok = ParseHexDouble(text, &fast);
+    const bool slow_ok = ParseDouble(text, &slow);
+    EXPECT_EQ(fast_ok, slow_ok) << "'" << text << "'";
+    if (fast_ok && slow_ok && !std::isnan(slow)) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(fast), std::bit_cast<uint64_t>(slow))
+          << "'" << text << "'";
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // including a brute-force cross-check over raw rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "core/split_evaluator.h"
 #include "test_util.h"
@@ -196,31 +199,37 @@ TEST(SplitEvaluator, FeatureRangeMergeIsDeterministic) {
   }
 }
 
-// Verbatim copy of the pre-prefix-scan FindBestSplit: a separate
-// present_total accumulation pass plus a per-bin missing check. The
-// rewritten single-pass version must reproduce it BIT FOR BIT — the prefix
-// array preserves the exact left-to-right accumulation order, so every
-// intermediate double is the same.
+// Verbatim copy of the uncompacted FindBestSplit (one prefix pass, then
+// every split bin evaluated in both missing directions behind branches),
+// with the evaluator's members reached through `eval`. The compacted,
+// branch-free FindBestSplit must reproduce it BIT FOR BIT in every
+// SplitInfo field.
 SplitInfo ReferenceFindBestSplit(const SplitEvaluator& eval,
                                  const BinnedMatrix& matrix,
                                  const GHPair* hist, const GHPair& node_sum,
-                                 uint32_t feature_begin,
-                                 uint32_t feature_end) {
+                                 uint32_t feature_begin, uint32_t feature_end,
+                                 const uint8_t* column_mask = nullptr) {
   SplitInfo best;
+  thread_local std::vector<GHPair> prefix;
   for (uint32_t f = feature_begin; f < feature_end; ++f) {
+    if (column_mask != nullptr && column_mask[f] == 0) continue;
     const uint32_t offset = matrix.BinOffset(f);
-    const uint32_t num_bins = matrix.NumBins(f);
-    if (num_bins < 3) continue;
+    const uint32_t num_bins = matrix.NumBins(f);  // includes missing bin 0
+    if (num_bins < 3) continue;  // need at least two value bins to split
     const GHPair missing = hist[offset];
+    const bool has_missing = missing.g != 0.0 || missing.h != 0.0;
 
-    GHPair present_total;
-    for (uint32_t b = 1; b < num_bins; ++b) present_total += hist[offset + b];
+    if (prefix.size() < num_bins) prefix.resize(num_bins);
+    GHPair running;
+    for (uint32_t b = 1; b < num_bins; ++b) {
+      running += hist[offset + b];
+      prefix[b] = running;
+    }
+    const GHPair present_total = prefix[num_bins - 1];
 
-    GHPair left_present;
     for (uint32_t b = 1; b + 1 < num_bins; ++b) {
-      left_present += hist[offset + b];
-      const GHPair right_present = present_total - left_present;
-
+      const GHPair left_present = prefix[b];
+      // Missing goes right (default_left = false).
       {
         const GHPair left = left_present;
         const GHPair right = node_sum - left;
@@ -233,8 +242,9 @@ SplitInfo ReferenceFindBestSplit(const SplitEvaluator& eval,
           }
         }
       }
-      if (missing.g != 0.0 || missing.h != 0.0) {
-        const GHPair right = right_present;
+      // Missing goes left (default_left = true).
+      if (has_missing) {
+        const GHPair right = present_total - left_present;
         const GHPair left = node_sum - right;
         if (eval.SatisfiesChildWeight(left) &&
             eval.SatisfiesChildWeight(right)) {
@@ -250,7 +260,24 @@ SplitInfo ReferenceFindBestSplit(const SplitEvaluator& eval,
   return best;
 }
 
-TEST(SplitEvaluator, SinglePassMatchesTwoPassReferenceBitwise) {
+// Every SplitInfo field equal bit for bit (so -0.0 != +0.0 here).
+void ExpectSameSplit(const SplitInfo& got, const SplitInfo& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.gain),
+            std::bit_cast<uint64_t>(want.gain));
+  EXPECT_EQ(got.feature, want.feature);
+  EXPECT_EQ(got.bin, want.bin);
+  EXPECT_EQ(got.default_left, want.default_left);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.left_sum.g),
+            std::bit_cast<uint64_t>(want.left_sum.g));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.left_sum.h),
+            std::bit_cast<uint64_t>(want.left_sum.h));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.right_sum.g),
+            std::bit_cast<uint64_t>(want.right_sum.g));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.right_sum.h),
+            std::bit_cast<uint64_t>(want.right_sum.h));
+}
+
+TEST(SplitEvaluator, MatchesReferenceOnRandomNodesBitwise) {
   TrainParams p = BaseParams();
   p.min_child_weight = 0.2;
   const SplitEvaluator eval(p);
@@ -275,17 +302,130 @@ TEST(SplitEvaluator, SinglePassMatchesTwoPassReferenceBitwise) {
     const SplitInfo want = ReferenceFindBestSplit(
         eval, matrix, hist.data(), total, 0, matrix.num_features());
 
-    ASSERT_EQ(got.IsValid(), want.IsValid()) << "density " << c.density;
-    // Bitwise: == on doubles, not NEAR. Same accumulation order, same bits.
-    EXPECT_EQ(got.gain, want.gain);
-    EXPECT_EQ(got.feature, want.feature);
-    EXPECT_EQ(got.bin, want.bin);
-    EXPECT_EQ(got.default_left, want.default_left);
-    EXPECT_EQ(got.left_sum.g, want.left_sum.g);
-    EXPECT_EQ(got.left_sum.h, want.left_sum.h);
-    EXPECT_EQ(got.right_sum.g, want.right_sum.g);
-    EXPECT_EQ(got.right_sum.h, want.right_sum.h);
+    SCOPED_TRACE(::testing::Message() << "density " << c.density);
+    ExpectSameSplit(got, want);
   }
+}
+
+// A matrix whose feature f has num_bins[f] bins (missing bin included);
+// only its cuts matter, the histograms below are synthesised directly.
+BinnedMatrix MatrixWithBins(const std::vector<uint32_t>& num_bins) {
+  std::vector<float> cuts;
+  std::vector<uint32_t> cut_ptr{0};
+  for (uint32_t bins : num_bins) {
+    for (uint32_t c = 0; c + 1 < bins; ++c) {
+      cuts.push_back(static_cast<float>(c));
+    }
+    cut_ptr.push_back(static_cast<uint32_t>(cuts.size()));
+  }
+  const auto features = static_cast<uint32_t>(num_bins.size());
+  return BinnedMatrix::Build(MakeDataset(4, features, 1.0, 3),
+                             QuantileCuts::FromRaw(std::move(cuts),
+                                                   std::move(cut_ptr), 256));
+}
+
+// One adversarial histogram cell. Coarse dyadic values make exact sums,
+// and so exact gain ties, common.
+GHPair AdversarialCell(Rng& rng) {
+  const auto coarse = [&rng] {
+    return 0.25 * static_cast<double>(static_cast<int>(rng.NextBelow(9)) - 4);
+  };
+  const auto signed_zero = [&rng] { return rng.Bernoulli(0.5) ? 0.0 : -0.0; };
+  switch (rng.NextBelow(8)) {
+    case 0:
+    case 1:
+      return GHPair{};  // empty cell
+    case 2:
+      return GHPair{signed_zero(), signed_zero()};
+    case 3:
+      return GHPair{0.0, 0.25 + 0.25 * static_cast<double>(rng.NextBelow(4))};
+    case 4:
+      return GHPair{coarse(), 0.0};
+    case 5:
+      return GHPair{coarse(), 0.25 * static_cast<double>(rng.NextBelow(5))};
+    case 6:
+      return GHPair{rng.Normal(), rng.NextDouble()};
+    default:
+      return GHPair{rng.Normal(), rng.NextDouble() - 0.2};  // h may be < 0
+  }
+}
+
+TEST(SplitEvaluator, MatchesReferenceOnAdversarialHistograms) {
+  Rng rng(2024);
+  int compared = 0;
+  int valid = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Features with 1-3 bins sit among wider ones.
+    const auto num_features = static_cast<uint32_t>(1 + rng.NextBelow(10));
+    std::vector<uint32_t> num_bins(num_features);
+    for (auto& bins : num_bins) {
+      bins = rng.Bernoulli(0.3) ? static_cast<uint32_t>(1 + rng.NextBelow(3))
+                                : static_cast<uint32_t>(4 + rng.NextBelow(60));
+    }
+    // Duplicated features create exact gain ties across features.
+    if (num_features > 1 && rng.Bernoulli(0.5)) num_bins.back() = num_bins[0];
+    const BinnedMatrix matrix = MatrixWithBins(num_bins);
+
+    std::vector<GHPair> hist(matrix.TotalBins());
+    for (uint32_t f = 0; f < num_features; ++f) {
+      const uint32_t offset = matrix.BinOffset(f);
+      const bool zero_runs = rng.Bernoulli(0.5);
+      for (uint32_t b = 0; b < num_bins[f]; ++b) {
+        GHPair& cell = hist[offset + b];
+        if (zero_runs && rng.Bernoulli(0.7)) continue;  // runs of zeros
+        // Duplicated cells create exact gain ties across bins.
+        cell = (b > 1 && rng.Bernoulli(0.2)) ? hist[offset + b - 1]
+                                              : AdversarialCell(rng);
+      }
+    }
+    if (num_features > 1 && num_bins.back() == num_bins[0] &&
+        rng.Bernoulli(0.7)) {
+      std::copy_n(hist.begin() + matrix.BinOffset(0), num_bins[0],
+                  hist.begin() + matrix.BinOffset(num_features - 1));
+    }
+    // Node total: feature 0's cells (a consistent node) or a perturbed
+    // total (rows of other features' missing bins, or an inconsistent sum).
+    GHPair node_sum;
+    for (uint32_t b = 0; b < num_bins[0]; ++b) node_sum += hist[b];
+    if (rng.Bernoulli(0.3)) node_sum += AdversarialCell(rng);
+
+    std::vector<uint8_t> mask(num_features);
+    for (auto& m : mask) m = rng.Bernoulli(0.75) ? 1 : 0;
+    const auto begin = static_cast<uint32_t>(rng.NextBelow(num_features));
+    const auto end =
+        begin + 1 + static_cast<uint32_t>(rng.NextBelow(num_features - begin));
+
+    for (const double reg_lambda : {0.0, 1.0}) {
+      for (const double min_child_weight : {0.0, 0.2, 1.0}) {
+        for (const double min_split_loss : {0.0, 1.0}) {
+          TrainParams p = BaseParams();
+          p.reg_lambda = reg_lambda;
+          p.min_child_weight = min_child_weight;
+          p.min_split_loss = min_split_loss;
+          const SplitEvaluator eval(p);
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " lambda " << reg_lambda
+                       << " mcw " << min_child_weight << " gamma "
+                       << min_split_loss);
+          const SplitInfo whole = eval.FindBestSplit(
+              matrix, hist.data(), node_sum, 0, num_features);
+          ExpectSameSplit(whole,
+                          ReferenceFindBestSplit(eval, matrix, hist.data(),
+                                                 node_sum, 0, num_features));
+          ExpectSameSplit(
+              eval.FindBestSplit(matrix, hist.data(), node_sum, begin, end,
+                                 mask.data()),
+              ReferenceFindBestSplit(eval, matrix, hist.data(), node_sum,
+                                     begin, end, mask.data()));
+          compared += 2;
+          valid += whole.IsValid() ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 400 * 12 * 2);
+  // The cases must actually reach the split paths, not only rejections.
+  EXPECT_GT(valid, 400 * 12 / 4);
 }
 
 TEST(SplitInfoTest, BetterThanIsStrictTotalOrder) {
