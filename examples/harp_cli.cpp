@@ -624,9 +624,10 @@ void PrintCommStats(const char* prefix, const CommStats& s) {
                                     static_cast<double>(s.hist_wire_bytes)
                               : 0.0;
     std::printf(
-        "%s: %lld hist exchanges, wire %lld B vs dense %lld B "
-        "(compression %.2fx)\n",
+        "%s: %lld hist exchanges of %lld histograms, wire %lld B vs dense "
+        "f64 %lld B for the same histograms (compression %.2fx)\n",
         prefix, static_cast<long long>(s.hist_exchanges),
+        static_cast<long long>(s.hists_exchanged),
         static_cast<long long>(s.hist_wire_bytes),
         static_cast<long long>(s.hist_dense_bytes), ratio);
   }

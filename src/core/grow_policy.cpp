@@ -74,6 +74,14 @@ void GrowQueue::PopBatchInto(int k, int max_batch,
   }
 }
 
+void GrowQueue::SortedInto(std::vector<Candidate>* out) const {
+  out->assign(heap_.begin(), heap_.end());
+  std::sort(out->begin(), out->end(),
+            [this](const Candidate& a, const Candidate& b) {
+              return Before(a, b);
+            });
+}
+
 std::vector<Candidate> GrowQueue::PopBatch(int k, int max_batch) {
   std::vector<Candidate> batch;
   PopBatchInto(k, max_batch, &batch);

@@ -39,6 +39,9 @@ class GrowQueue {
   // growth can reuse one batch vector instead of allocating per step.
   void PopBatchInto(int k, int max_batch, std::vector<Candidate>* out);
 
+  // Every queued candidate, in the order PopBatch would pop them.
+  void SortedInto(std::vector<Candidate>* out) const;
+
   // Drops all queued candidates (start of a new tree on a reused queue).
   void Clear() { heap_.clear(); }
 

@@ -47,6 +47,17 @@ bool HistogramPool::Has(int node_id) const {
   return in_use_.find(node_id) != in_use_.end();
 }
 
+GHPair* HistogramPool::Transfer(int from, int to) {
+  std::lock_guard<SpinMutex> lock(mutex_);
+  auto it = in_use_.find(from);
+  HARP_CHECK(it != in_use_.end()) << "node " << from << " has no histogram";
+  HARP_CHECK(in_use_.find(to) == in_use_.end())
+      << "node " << to << " already owns a histogram";
+  Buffer buffer = std::move(it->second);
+  in_use_.erase(it);
+  return in_use_.emplace(to, std::move(buffer)).first->second.data();
+}
+
 void HistogramPool::Release(int node_id) {
   std::lock_guard<SpinMutex> lock(mutex_);
   auto it = in_use_.find(node_id);
@@ -83,6 +94,11 @@ void AssignHistogram(GHPair* __restrict dst, const GHPair* __restrict src,
 void SubtractHistogram(GHPair* __restrict out, const GHPair* __restrict parent,
                        const GHPair* __restrict sibling, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = parent[i] - sibling[i];
+}
+
+void SubtractHistogramInPlace(GHPair* __restrict hist,
+                              const GHPair* __restrict sibling, size_t n) {
+  for (size_t i = 0; i < n; ++i) hist[i] = hist[i] - sibling[i];
 }
 
 void ClearHistogram(GHPair* hist, size_t n) {

@@ -44,6 +44,10 @@ class HistogramPool {
 
   bool Has(int node_id) const;
 
+  // Re-registers the buffer of `from` (which must exist) under `to` (which
+  // must not), contents unchanged. Thread safe.
+  GHPair* Transfer(int from, int to);
+
   // Returns the buffer of `node_id` to the free list. Thread safe.
   void Release(int node_id);
 
@@ -75,6 +79,10 @@ void AssignHistogram(GHPair* dst, const GHPair* src, size_t n);
 // the larger child's histogram for free).
 void SubtractHistogram(GHPair* out, const GHPair* parent,
                        const GHPair* sibling, size_t n);
+
+// hist[i] = hist[i] - sibling[i] over `n` slots: SubtractHistogram with the
+// parent's buffer turned into the larger child's in place.
+void SubtractHistogramInPlace(GHPair* hist, const GHPair* sibling, size_t n);
 
 // Zeroes `n` slots.
 void ClearHistogram(GHPair* hist, size_t n);

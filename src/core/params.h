@@ -80,7 +80,11 @@ struct TrainParams {
 
   // --- memory optimizations (Section IV-E) ---
   bool use_membuf = true;           // (rowid, g, h) node buffers, Fig. 7
-  bool use_hist_subtraction = false;  // parent - sibling trick (ablatable)
+  // Parent - sibling trick for f64 histograms (ablatable). Quantized
+  // histograms (quantize_hist) subtract exactly, so sharded training
+  // (DistributedGbdt) always subtracts them and this flag gates only its
+  // f64 histograms; single-node training honours it for both.
+  bool use_hist_subtraction = false;
   // Quantized histograms (core/quantize.h): per-round fixed-point packing
   // of (g, h) into one int32 and int64 accumulator cells, halving the hot
   // loop's gradient-read and GHSum-write traffic. Off = the f64 accuracy

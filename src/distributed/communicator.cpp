@@ -59,6 +59,7 @@ void Communicator::AllreduceHistograms(GHPair* const* hists,
                                        const HistExchangeOpts& opts) {
   if (num_hists == 0) return;
   ++stats_.hist_exchanges;
+  stats_.hists_exchanged += num_hists;
   const bool communicates = world_size() > 1;
   const int64_t dense_bytes = DenseHistBytes(num_hists, cells);
   if (communicates) stats_.hist_dense_bytes += 2 * dense_bytes;

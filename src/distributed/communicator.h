@@ -30,8 +30,12 @@ struct CommStats {
   // are what this rank physically moved — sent frame + received result —
   // and dense bytes are what the uncompressed f64 exchange would have
   // moved, so wire/dense is the measured compression ratio. Both are 0 at
-  // world == 1 (no communication happens).
+  // world == 1 (no communication happens). hists_exchanged counts the node
+  // histograms handed to those exchanges, at every world size; dense bytes
+  // are these same histograms as f64, so siblings derived by subtraction
+  // count in neither.
   int64_t hist_exchanges = 0;
+  int64_t hists_exchanged = 0;
   int64_t hist_wire_bytes = 0;
   int64_t hist_dense_bytes = 0;
 
@@ -42,6 +46,7 @@ struct CommStats {
     broadcast_bytes += o.broadcast_bytes;
     barriers += o.barriers;
     hist_exchanges += o.hist_exchanges;
+    hists_exchanged += o.hists_exchanged;
     hist_wire_bytes += o.hist_wire_bytes;
     hist_dense_bytes += o.hist_dense_bytes;
     return *this;

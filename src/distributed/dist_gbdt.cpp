@@ -23,7 +23,9 @@ namespace {
 // the sparse/quantized encodings are exact, see sparse_hist.h), identical
 // node sums, and runs the identical FindSplit / queue logic, so trees,
 // margins-per-shard and models evolve in lockstep without any decision
-// broadcast.
+// broadcast. Which histograms are built, exchanged, derived or kept is
+// decided from that shared state only (global row counts, the queue), so
+// every rank exchanges the same nodes.
 class ShardWorker {
  public:
   ShardWorker(Communicator& comm, const Dataset& shard,
@@ -39,6 +41,7 @@ class ShardWorker {
         pool_(std::max(1, worker_threads)),
         use_quant_(params.quantize_hist),
         sparse_(params.comm_compress == "sparse"),
+        subtract_(use_quant_ || params.use_hist_subtraction),
         simd_level_(ResolveSimdLevel(params.simd)) {}
 
   GbdtModel Run() {
@@ -119,6 +122,63 @@ class ShardWorker {
                               opts);
   }
 
+  // Global histograms of every child of `batch`. A pair whose parent kept
+  // its global histogram builds and exchanges only its smaller child, and
+  // every rank derives the larger one as parent - smaller in the parent's
+  // buffer; any other pair builds both children. The smaller child is
+  // chosen by GLOBAL row counts, which every rank holds identically:
+  // picking by local counts would make ranks exchange different nodes.
+  void BuildChildHists(const std::vector<Candidate>& batch,
+                       const std::vector<int>& children,
+                       const std::vector<int64_t>& child_rows) {
+    build_.clear();
+    derived_.clear();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const int left = children[2 * i];
+      const int right = children[2 * i + 1];
+      if (!hists_.Has(batch[i].node_id)) {
+        build_.push_back(left);
+        build_.push_back(right);
+        continue;
+      }
+      const bool left_smaller = child_rows[2 * i] <= child_rows[2 * i + 1];
+      const int small = left_smaller ? left : right;
+      build_.push_back(small);
+      derived_.push_back(
+          Derived{batch[i].node_id, left_smaller ? right : left, small});
+    }
+    BuildGlobalHists(build_);
+    for (const Derived& d : derived_) hists_.Transfer(d.parent, d.large);
+    const size_t total_bins = matrix_.TotalBins();
+    pool_.ParallelForDynamic(
+        static_cast<int64_t>(derived_.size()), 1,
+        [&](int64_t begin, int64_t end, int) {
+          for (int64_t i = begin; i < end; ++i) {
+            const Derived& d = derived_[static_cast<size_t>(i)];
+            SubtractHistogramInPlace(hists_.Get(d.large), hists_.Get(d.small),
+                                     total_bins);
+          }
+        });
+  }
+
+  // With subtraction, keeps the global histograms of the next batch's
+  // parents, the first min(K, splits left) queued candidates in pop order,
+  // and releases every other queued histogram. The pool then never holds
+  // more than two histograms per split of a batch, the peak of building
+  // both children; a parent popped later than the batch after its push
+  // builds both. Every rank holds the same queue, so all agree on which
+  // parents kept theirs.
+  void KeepNextParents(const GrowQueue& queue, int64_t splits_left) {
+    const size_t keep =
+        subtract_ ? static_cast<size_t>(std::min<int64_t>(
+                        params_.EffectiveTopK(), splits_left))
+                  : 0;
+    queue.SortedInto(&queued_);
+    for (size_t i = keep; i < queued_.size(); ++i) {
+      if (hists_.Has(queued_[i].node_id)) hists_.Release(queued_[i].node_id);
+    }
+  }
+
   Candidate FindSplitFor(int node_id, int depth, const GHPair& sum,
                          const GHPair* hist) {
     Candidate cand;
@@ -148,16 +208,18 @@ class ShardWorker {
     tree.mutable_node(0).num_rows = static_cast<uint32_t>(global_rows);
 
     GrowQueue queue(params_.grow_policy);
+    int64_t leaves = 1;
     {
       BuildGlobalHists({0});
       const Candidate root = FindSplitFor(0, 0, root_sum, hists_.Get(0));
-      hists_.Release(0);
       if (root.split.IsValid() && max_leaves > 1 && max_depth > 0) {
         queue.Push(root);
+      } else {
+        hists_.Release(0);
       }
+      KeepNextParents(queue, max_leaves - leaves);
     }
 
-    int64_t leaves = 1;
     while (!queue.Empty() && leaves < max_leaves) {
       const std::vector<Candidate> batch = queue.PopBatch(
           params_.EffectiveTopK(),
@@ -188,16 +250,18 @@ class ShardWorker {
       }
       leaves += static_cast<int64_t>(batch.size());
 
-      BuildGlobalHists(children);
+      BuildChildHists(batch, children, child_rows);
       for (const int child : children) {
         const Candidate cand = FindSplitFor(child, tree.node(child).depth,
                                             tree.node(child).sum,
                                             hists_.Get(child));
-        hists_.Release(child);
         if (cand.split.IsValid() && cand.depth < max_depth) {
           queue.Push(cand);
+        } else {
+          hists_.Release(child);
         }
       }
+      KeepNextParents(queue, max_leaves - leaves);
     }
 
     for (int id = 0; id < tree.num_nodes(); ++id) {
@@ -218,9 +282,23 @@ class ShardWorker {
   HistBuilderDP dp_;
   const bool use_quant_;
   const bool sparse_;
+  // Derive the larger child of each pair by subtraction. Always on for
+  // quantized histograms, whose global cells are exact multiples of the
+  // round's power-of-two step, so parent - small is exact and the model
+  // is the one a direct build of both children gives. f64 cells opt in
+  // through use_hist_subtraction, as in single-node training.
+  const bool subtract_;
   const SimdLevel simd_level_;
   QuantRound quant_round_;
   std::vector<GHPair*> hist_ptrs_;
+  struct Derived {
+    int parent;
+    int large;
+    int small;
+  };
+  std::vector<int> build_;
+  std::vector<Derived> derived_;
+  std::vector<Candidate> queued_;
 };
 
 // Contiguous shard boundaries: rank r owns rows [rows*r/W, rows*(r+1)/W).

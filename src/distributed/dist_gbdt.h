@@ -7,9 +7,13 @@
 // one histogram exchange — dense f64 or the compressed SparseHistogram
 // format, selected by TrainParams::comm_compress — produces the global
 // histograms, and each worker then makes the identical (deterministic)
-// split decision — no split broadcast needed. The returned model is
-// bitwise identical on every worker, for both exchange encodings, and for
-// both transport backends.
+// split decision — no split broadcast needed. When a split's parent kept
+// its global histogram, only the smaller child (by global row count) is
+// built and exchanged, and every worker derives the sibling as parent -
+// smaller: always for quantized histograms, where the subtraction is
+// exact, and for f64 histograms when use_hist_subtraction is set. The
+// returned model is bitwise identical on every worker, for both exchange
+// encodings, and for both transport backends.
 #pragma once
 
 #include <vector>

@@ -34,6 +34,15 @@ inline bool CellNonZero(const GHPair& cell) {
   return (bits[0] | bits[1]) != 0;
 }
 
+// Payload cells start at byte 24 + 8 * runs + bitmaps of a frame, an
+// arbitrary offset, so every typed read of a cell goes through memcpy.
+template <typename Cell>
+inline Cell LoadCell(const uint8_t* src) {
+  Cell cell;
+  std::memcpy(&cell, src, sizeof(Cell));
+  return cell;
+}
+
 [[noreturn]] void Malformed(const std::string& what) {
   throw std::runtime_error("SparseHistogram: malformed frame: " + what);
 }
@@ -289,10 +298,10 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
       const uint8_t* src =
           f.payload + static_cast<size_t>(ref.cell_off) * cell_bytes;
       if (fmt.quant) {
-        const int64_t* src_cells = reinterpret_cast<const int64_t*>(src);
         for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
           if (!(bitmap & (1u << i))) continue;
-          const int64_t cell = *src_cells++;
+          const int64_t cell = LoadCell<int64_t>(src);
+          src += sizeof(int64_t);
           if (seen & (1u << i)) {
             acc_i64[i] += cell;
           } else {
@@ -300,10 +309,10 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
           }
         }
       } else {
-        const GHPair* src_cells = reinterpret_cast<const GHPair*>(src);
         for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
           if (!(bitmap & (1u << i))) continue;
-          const GHPair cell = *src_cells++;
+          const GHPair cell = LoadCell<GHPair>(src);
+          src += sizeof(GHPair);
           if (seen & (1u << i)) {
             acc_f64[i].g += cell.g;
             acc_f64[i].h += cell.h;
@@ -348,18 +357,14 @@ void DecodeSparseHist(const uint8_t* data, size_t bytes,
       const uint32_t h = r / regions_per_hist;
       const uint32_t begin = (r % regions_per_hist) * kSparseRegionCells;
       GHPair* dst = hists[h] + begin;
-      if (fmt.quant) {
-        const int64_t* src =
-            reinterpret_cast<const int64_t*>(f.payload) + cursor;
-        for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
-          if (bitmap & (1u << i2)) dst[i2] = DecodeQuantCell(*src++, fmt.scales);
-        }
-      } else {
-        const GHPair* src =
-            reinterpret_cast<const GHPair*>(f.payload) + cursor;
-        for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
-          if (bitmap & (1u << i2)) dst[i2] = *src++;
-        }
+      const uint8_t* src =
+          f.payload + static_cast<size_t>(cursor) * f.cell_bytes;
+      for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
+        if (!(bitmap & (1u << i2))) continue;
+        dst[i2] = fmt.quant
+                      ? DecodeQuantCell(LoadCell<int64_t>(src), fmt.scales)
+                      : LoadCell<GHPair>(src);
+        src += f.cell_bytes;
       }
       cursor += static_cast<uint32_t>(std::popcount(bitmap));
     }

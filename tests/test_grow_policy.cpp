@@ -137,5 +137,26 @@ TEST(GrowQueue, ManyPushesPopInSortedGainOrder) {
   EXPECT_EQ(idx, gains.size());
 }
 
+// SortedInto lists the queue in exactly the order the pops would take it,
+// gain ties included, and leaves the queue untouched.
+TEST(GrowQueue, SortedIntoMatchesPopOrder) {
+  for (const GrowPolicy policy : {GrowPolicy::kTopK, GrowPolicy::kDepthwise}) {
+    GrowQueue q(policy);
+    for (int i = 0; i < 60; ++i) {
+      q.Push(Cand(i, 1 + i % 3, static_cast<double>((i * 37) % 11)));
+    }
+    std::vector<Candidate> sorted;
+    q.SortedInto(&sorted);
+    ASSERT_EQ(sorted.size(), q.Size());
+    size_t idx = 0;
+    while (!q.Empty()) {
+      for (const Candidate& c : q.PopBatch(4, 1000)) {
+        EXPECT_EQ(c.node_id, sorted[idx++].node_id);
+      }
+    }
+    EXPECT_EQ(idx, sorted.size());
+  }
+}
+
 }  // namespace
 }  // namespace harp

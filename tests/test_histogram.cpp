@@ -70,6 +70,24 @@ TEST(HistogramPoolDeath, DoubleAcquireAndMissingGet) {
   EXPECT_DEATH(pool.Release(9), "no histogram");
 }
 
+TEST(HistogramPool, TransferKeepsBufferAndContents) {
+  HistogramPool pool(2);
+  GHPair* h = pool.Acquire(3);
+  h[1] = GHPair{4.0, 2.0};
+  EXPECT_EQ(pool.Transfer(3, 8), h);
+  EXPECT_FALSE(pool.Has(3));
+  EXPECT_EQ(pool.Get(8)[1], (GHPair{4.0, 2.0}));
+  EXPECT_EQ(pool.PeakBytes(), 2 * sizeof(GHPair));
+}
+
+TEST(HistogramPoolDeath, TransferNeedsSourceAndFreeTarget) {
+  HistogramPool pool(2);
+  pool.Acquire(1);
+  pool.Acquire(2);
+  EXPECT_DEATH(pool.Transfer(9, 3), "no histogram");
+  EXPECT_DEATH(pool.Transfer(1, 2), "already owns");
+}
+
 TEST(HistogramPool, ConcurrentAcquireRelease) {
   HistogramPool pool(16);
   ThreadPool threads(4);
@@ -92,6 +110,9 @@ TEST(HistogramKernels, AddAndSubtract) {
   SubtractHistogram(large.data(), parent.data(), small.data(), 3);
   EXPECT_EQ(large[0], (GHPair{3, 4}));
   EXPECT_EQ(large[1], (GHPair{2, 0}));
+  std::vector<GHPair> in_place = parent;
+  SubtractHistogramInPlace(in_place.data(), small.data(), 3);
+  EXPECT_EQ(in_place, large);
   AddHistogram(large.data(), small.data(), 3);
   EXPECT_EQ(large[0], (GHPair{5, 5}));
   ClearHistogram(large.data(), 3);

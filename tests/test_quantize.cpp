@@ -3,8 +3,9 @@
 // arithmetic, thread-count determinism, forced-scalar vs forced-AVX2
 // bit-identity of the whole quantized pipeline (quantize, accumulate,
 // reduce, dequantize), kernel parity against a WidenQuant reference loop
-// across every dispatch variant, the quantized DP builder, and end-to-end
-// training accuracy against the f64 oracle.
+// across every dispatch variant, the quantized DP builder, end-to-end
+// training accuracy against the f64 oracle, and exact histogram
+// subtraction (identical models with and without it).
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -17,6 +18,7 @@
 #include "core/hist_builder.h"
 #include "core/hist_kernels.h"
 #include "core/metrics.h"
+#include "core/model_io.h"
 #include "core/quantize.h"
 #include "core/simd.h"
 #include "data/synthetic.h"
@@ -657,6 +659,45 @@ INSTANTIATE_TEST_SUITE_P(DpMpSync, QuantDeterminism,
                          [](const ::testing::TestParamInfo<ParallelMode>& i) {
                            return ToString(i.param);
                          });
+
+// Quantized cells dequantize to exact multiples of the round's power-of-
+// two step, so parent - sibling equals the directly built histogram bit
+// for bit: the subtraction trick cannot change a quantized model. The
+// sharded trainer subtracts quantized histograms unconditionally on this
+// property.
+TEST(QuantSubtraction, ModelIdenticalWithAndWithoutSubtraction) {
+  SyntheticSpec sparse_spec;
+  sparse_spec.rows = 1500;
+  sparse_spec.features = 40;
+  sparse_spec.density = 0.08;
+  sparse_spec.density_skew = 0.8;
+  sparse_spec.mean_distinct = 32.0;
+  sparse_spec.margin_scale = 3.0;
+  sparse_spec.sparse_storage = true;
+  sparse_spec.seed = 2207;
+  const Dataset sparse_data = GenerateSynthetic(sparse_spec);
+  const Dataset dense_data = LearnableData(1500);
+
+  for (const Dataset* data : {&dense_data, &sparse_data}) {
+    for (const ParallelMode mode :
+         {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
+      for (const int threads : {1, 4}) {
+        TrainParams p = QuantParams();
+        p.num_trees = 4;
+        p.mode = mode;
+        p.num_threads = threads;
+        p.use_hist_subtraction = false;
+        GbdtTrainer direct(p);
+        p.use_hist_subtraction = true;
+        GbdtTrainer subtracted(p);
+        EXPECT_EQ(SerializeModel(direct.Train(*data)),
+                  SerializeModel(subtracted.Train(*data)))
+            << ToString(mode) << " threads=" << threads
+            << " sparse=" << (data == &sparse_data);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace harp
