@@ -115,28 +115,24 @@ int main() {
               "leaf count 2^D — the machine-independent form of the "
               "paper's claim.\n");
 
-  // Contrast: HarpGBDT's SYNC trainer on the same workload under both grow
-  // schedulers. The region-per-phase oracle already batches K leaves per
-  // region; the fused scheduler then collapses each batch's phases into
-  // ONE resident region, trading region launches for in-region barriers.
-  std::printf("\nHarpGBDT SYNC (D=8, K=32) — fused vs region-per-phase:\n");
-  std::printf("%-10s %12s %12s %12s %12s %10s %10s %10s\n", "scheduler",
+  // Contrast: HarpGBDT's SYNC trainer on the same workload. Each TopK
+  // batch of K leaves runs as ONE resident parallel region whose phases
+  // are sequenced through in-region barriers.
+  std::printf("\nHarpGBDT SYNC (D=8, K=32):\n");
+  std::printf("%-10s %12s %12s %12s %12s %10s %10s %10s\n", "trainer",
               "BuildHist", "FindSplit", "ApplySplit", "ms/tree", "regions",
               "launch/bat", "barr/bat");
-  for (const bool fused : {false, true}) {
-    TrainParams p = HarpParams(8, ParallelMode::kSYNC);
-    p.use_fused_step = fused;
+  {
+    const TrainParams p = HarpParams(8, ParallelMode::kSYNC);
     TrainStats stats;
     GbdtTrainer(p).TrainBinned(data.matrix, data.train.labels(), &stats);
-    ReportStats("fig04", fused ? "harp_sync_fused" : "harp_sync_phase",
-                stats);
+    ReportStats("fig04", "harp_sync", stats);
     const double per_tree = 1.0 / std::max(1, stats.trees);
     const double per_batch =
         1.0 / static_cast<double>(std::max<int64_t>(1, stats.topk_batches));
     std::printf(
         "%-10s %10.2fms %10.2fms %10.2fms %10.2fms %10lld %10.2f %10.2f\n",
-        fused ? "fused" : "phase",
-        NsToMs(stats.build_hist_ns) * per_tree,
+        "HarpGBDT", NsToMs(stats.build_hist_ns) * per_tree,
         NsToMs(stats.find_split_ns) * per_tree,
         NsToMs(stats.apply_split_ns) * per_tree, MsPerTree(stats),
         static_cast<long long>(stats.sync.parallel_regions /

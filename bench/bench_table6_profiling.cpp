@@ -35,65 +35,52 @@ int main() {
       {"Leaf-ASYNC", GrowPolicy::kTopK, ParallelMode::kASYNC, 28.0, 8.0},
   };
 
-  // Each trainer runs under BOTH grow schedulers so the table's barrier
-  // column can be regenerated for either: "phase" relaunches one parallel
-  // region per grow phase (the bit-identity oracle), "fused" keeps the
-  // threads resident in ONE region per TopK batch and sequences the phases
-  // through in-region barriers. ASYNC has its own one-region-per-tree
-  // scheduler and ignores the flag, so it gets a single row.
+  // Every TopK batch runs as ONE resident region whose phases are
+  // sequenced through in-region barriers; ASYNC runs its DP ramp-up the
+  // same way, then one node-parallel region per tree.
   std::printf("%-17s %10s %10s %10s %12s %12s | %10s %10s\n", "trainer",
               "util", "barrier", "spin", "ns/update", "regions/tr",
               "paperUtil", "paperBarr");
   for (const Case& c : cases) {
-    const bool has_fused = c.mode != ParallelMode::kASYNC;
-    for (const bool fused : {false, true}) {
-      if (fused && !has_fused) continue;
-      TrainParams p = HarpParams(8, c.mode, c.policy, 32);
-      p.use_fused_step = fused;
-      TrainStats stats;
-      GbdtTrainer(p).TrainBinned(data.matrix, data.train.labels(), &stats);
-      const std::string label =
-          std::string(c.name) + (has_fused ? (fused ? "/fused" : "/phase") : "");
-      ReportStats("table6", label, stats);
-      std::printf(
-          "%-17s %9.1f%% %9.1f%% %9.1f%% %10.2fns %12lld | %9.1f%% %9.1f%%\n",
-          label.c_str(), stats.sync.Utilization(stats.wall_ns) * 100.0,
-          stats.sync.BarrierOverhead() * 100.0,
-          stats.sync.SpinOverhead() * 100.0, stats.NsPerHistUpdate(),
-          static_cast<long long>(stats.sync.parallel_regions /
-                                 std::max(1, stats.trees)),
-          c.paper_util, c.paper_barrier);
-      // Grow-loop synchronization shape: the fused scheduler launches
-      // EXACTLY one region per TopK batch and pays in-region phase
-      // barriers instead; the region-per-phase oracle launches several
-      // regions per batch and records zero phase barriers.
-      std::printf("%-17s   grow: batches=%lld region_launches=%lld "
-                  "phase_barriers=%lld (%.2f regions/batch)\n",
-                  "", static_cast<long long>(stats.topk_batches),
-                  static_cast<long long>(stats.grow_region_launches),
-                  static_cast<long long>(stats.grow_phase_barriers),
-                  static_cast<double>(stats.grow_region_launches) /
-                      static_cast<double>(std::max<int64_t>(
-                          1, stats.topk_batches)));
-      // ApplySplit-phase counters: TopK trainers batch K splits per region
-      // pair (batches << splits; small batches run serial and are not
-      // counted), and allocs collapse to ~0 after the first tree grows the
-      // arena scratch (a later tree only allocates if its frontier
-      // outgrows every earlier one).
-      std::printf("%-17s   apply: splits=%lld batches=%lld barriers=%lld "
-                  "moved=%lldKB allocs=%lld\n",
-                  "", static_cast<long long>(stats.apply_splits),
-                  static_cast<long long>(stats.apply_batches),
-                  static_cast<long long>(stats.apply_barriers),
-                  static_cast<long long>(stats.apply_bytes_moved / 1024),
-                  static_cast<long long>(stats.apply_allocs));
-    }
+    const TrainParams p = HarpParams(8, c.mode, c.policy, 32);
+    TrainStats stats;
+    GbdtTrainer(p).TrainBinned(data.matrix, data.train.labels(), &stats);
+    ReportStats("table6", c.name, stats);
+    std::printf(
+        "%-17s %9.1f%% %9.1f%% %9.1f%% %10.2fns %12lld | %9.1f%% %9.1f%%\n",
+        c.name, stats.sync.Utilization(stats.wall_ns) * 100.0,
+        stats.sync.BarrierOverhead() * 100.0,
+        stats.sync.SpinOverhead() * 100.0, stats.NsPerHistUpdate(),
+        static_cast<long long>(stats.sync.parallel_regions /
+                               std::max(1, stats.trees)),
+        c.paper_util, c.paper_barrier);
+    // Grow-loop synchronization shape: EXACTLY one region launch per TopK
+    // batch, with the phases paid as in-region barriers.
+    std::printf("%-17s   grow: batches=%lld region_launches=%lld "
+                "phase_barriers=%lld (%.2f regions/batch)\n",
+                "", static_cast<long long>(stats.topk_batches),
+                static_cast<long long>(stats.grow_region_launches),
+                static_cast<long long>(stats.grow_phase_barriers),
+                static_cast<double>(stats.grow_region_launches) /
+                    static_cast<double>(std::max<int64_t>(
+                        1, stats.topk_batches)));
+    // ApplySplit-phase counters: TopK trainers batch K splits per region
+    // pair (batches << splits; small batches run serial and are not
+    // counted), and allocs collapse to ~0 after the first tree grows the
+    // arena scratch (a later tree only allocates if its frontier outgrows
+    // every earlier one).
+    std::printf("%-17s   apply: splits=%lld batches=%lld barriers=%lld "
+                "moved=%lldKB allocs=%lld\n",
+                "", static_cast<long long>(stats.apply_splits),
+                static_cast<long long>(stats.apply_batches),
+                static_cast<long long>(stats.apply_barriers),
+                static_cast<long long>(stats.apply_bytes_moved / 1024),
+                static_cast<long long>(stats.apply_allocs));
   }
   std::printf("\nshape check vs bench_table1_profiling: regions/tree here "
-              "are a small fraction of the baselines' (node blocks batch "
-              "K=32 leaves per region; the fused scheduler collapses each "
-              "batch's remaining phase launches into one region with "
-              "in-region barriers; ASYNC uses ~1 region per tree), so "
-              "barrier overhead is far below Table I's.\n");
+              "are a small fraction of the baselines' (each TopK batch of "
+              "K=32 leaves is one region with in-region barriers; ASYNC "
+              "adds ~1 region per tree), so barrier overhead is far below "
+              "Table I's.\n");
   return 0;
 }

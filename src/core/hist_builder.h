@@ -120,17 +120,17 @@ class HistBuilderDP {
   };
 
   // Builds histograms for `nodes` (already acquired in ctx.hists; their
-  // contents are unspecified — the reduce writes every slot). Returns the
-  // wall nanoseconds spent in the reduction step (reported nested in the
-  // build phase of the Fig. 4 breakdown).
+  // contents are unspecified — the reduce writes every slot) by running
+  // BuildInRegion inside one FusedRegion of ctx.pool. Returns the wall
+  // nanoseconds spent in the reduction step (reported nested in the build
+  // phase of the Fig. 4 breakdown).
   int64_t Build(const BuildContext& ctx, std::span<const int> nodes);
 
-  // Fused-step form: collective — every region thread calls it with its
-  // id; per-block serial glue (task staging, reduce prep, dirty-ledger
-  // update) runs in barrier epilogues instead of between region launches.
-  // Bit-identical to Build (same tasks, same kernels, same ascending-
-  // thread-order reduction). Adds the reduce wall time (epilogue-to-
-  // epilogue) to *reduce_ns.
+  // Collective: every region thread calls it with its id. Per block the
+  // threads clear their dirty replica ranges, accumulate row tasks and
+  // reduce the replicas in ascending thread order; the serial glue (task
+  // staging, reduce prep, dirty-ledger update) runs in barrier epilogues.
+  // Adds the reduce wall time (epilogue-to-epilogue) to *reduce_ns.
   void BuildInRegion(const BuildContext& ctx, std::span<const int> nodes,
                      ThreadPool::FusedRegion& region, int thread_id,
                      int64_t* reduce_ns);
@@ -148,7 +148,7 @@ class HistBuilderDP {
 
   // Serial per-Build setup (kernel selection, feature blocks) and per-
   // block staging (row tasks, replica growth, touched reset); the phase
-  // loops execute what these staged. Shared by both schedulers.
+  // loops execute what these staged.
   void BeginBuild(const BuildContext& ctx);
   void StageBlock(const BuildContext& ctx, std::span<const int> nodes,
                   size_t block_begin);

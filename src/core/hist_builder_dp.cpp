@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/logging.h"
@@ -289,40 +288,11 @@ void HistBuilderDP::UpdateLedger() {
 
 int64_t HistBuilderDP::Build(const BuildContext& ctx,
                              std::span<const int> nodes) {
-  BeginBuild(ctx);
   int64_t reduce_ns = 0;
-
-  // One "parallel for" per node block: node_blk_size trades fewer barriers
-  // against larger per-thread replicas (Section IV-D).
-  const size_t step =
-      static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
-  for (size_t begin = 0; begin < nodes.size(); begin += step) {
-    StageBlock(ctx, nodes, begin);
-
-    std::atomic<int64_t> cursor{0};
-    ctx.pool.RunOnAllThreads([&](int thread_id) {
-      ClearThread(thread_id);
-      for (;;) {
-        const int64_t t = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (t >= static_cast<int64_t>(tasks_.size())) break;
-        RunRowTask(ctx, thread_id, static_cast<size_t>(t));
-        ctx.pool.CountTask(thread_id);
-      }
-    });
-
-    const Stopwatch reduce_watch;
-    PrepReduce(ctx);
-    // The reduce domain is the CONTENT slots only — the alignment padding
-    // beyond them belongs to no node.
-    ctx.pool.ParallelFor(static_cast<int64_t>(content_slots_),
-                         [&](int64_t b, int64_t e, int) {
-                           quant_ != nullptr ? ReduceRangeQuant(b, e)
-                                             : ReduceRange(b, e);
-                         });
-    reduce_ns += reduce_watch.ElapsedNs();
-
-    UpdateLedger();
-  }
+  ThreadPool::FusedRegion region(ctx.pool);
+  region.Run([&](int thread_id) {
+    BuildInRegion(ctx, nodes, region, thread_id, &reduce_ns);
+  });
   return reduce_ns;
 }
 
@@ -337,8 +307,9 @@ void HistBuilderDP::BuildInRegion(const BuildContext& ctx,
 
   // Leading barrier: serial setup + first block staged before any thread
   // starts accumulating. All subsequent staging piggybacks on the dirty-
-  // ledger barrier of the previous block, so the per-block phase count
-  // matches the region-per-phase path's launch count one-for-one.
+  // ledger barrier of the previous block. One "parallel for" per node
+  // block: node_blk_size trades fewer barriers against larger per-thread
+  // replicas (Section IV-D).
   region.Barrier(thread_id, [&] {
     BeginBuild(ctx);
     if (num_blocks > 0) StageBlock(ctx, nodes, 0);

@@ -70,13 +70,6 @@ struct TrainParams {
   int feature_blk_size = 0;
   // Bins per histogram pass; 256 disables bin-level blocking.
   int bin_blk_size = 256;
-  // Fused-step scheduler: run each TopK batch (apply / build / reduce /
-  // subtract / find) inside ONE persistent parallel region with in-region
-  // phase barriers instead of one region launch per phase. Off = the
-  // region-per-phase path, kept as the bit-identity oracle (outputs are
-  // identical either way). Ignored by ASYNC, which has its own one-region
-  // node-task scheduler.
-  bool use_fused_step = true;
 
   // --- memory optimizations (Section IV-E) ---
   bool use_membuf = true;           // (rowid, g, h) node buffers, Fig. 7

@@ -535,8 +535,8 @@ void RowPartitioner::ApplySplitBatchInRegion(
     ThreadPool::FusedRegion& region, int thread_id,
     const std::function<void()>& after_finish) {
   if (!prepared_parallel_) {
-    // Small batch: per-task serial partition on thread 0 (same work the
-    // region-per-phase path does on the orchestration thread), peers go
+    // Small batch: per-task serial partition on thread 0 (same work
+    // ApplySplitBatch does on the orchestration thread), peers go
     // straight to the barrier.
     if (thread_id == 0 && !tasks.empty()) {
       PartitionBatchSerial(tasks, matrix);
@@ -586,8 +586,8 @@ void RowPartitioner::ApplySplitBatch(std::span<const SplitTask> tasks,
     PartitionBatchSerial(tasks, matrix);
     return;
   }
-  // Region-per-phase execution of the same pieces the fused path drives
-  // through in-region barriers: one region per pass.
+  // Region-per-pass execution of the same pieces ApplySplitBatchInRegion
+  // drives through in-region barriers.
   pool->ParallelForDynamic(static_cast<int64_t>(prepared_chunks_), 1,
                            [&](int64_t begin, int64_t end, int) {
                              CountChunkRange(tasks, matrix, begin, end);

@@ -183,7 +183,7 @@ class RowPartitioner {
   // ---- Fused-step protocol (ThreadPool::FusedRegion) ----
   // Serial staging called BEFORE the region: validates the batch, decides
   // chunk-grid vs per-task-serial execution (the same kParallelRows rule
-  // as ApplySplitBatch, so both schedulers take identical code paths) and
+  // as ApplySplitBatch, so both entry points take identical code paths) and
   // builds the chunk task list. Returns false for an empty batch.
   // Orchestration thread only.
   bool PrepareSplitBatch(std::span<const SplitTask> tasks);
@@ -241,8 +241,8 @@ class RowPartitioner {
   template <typename Layout>
   GHPair NodeSumScan(int node_id, ThreadPool* pool) const;
 
-  // Batched-apply pieces shared by the region-per-phase path
-  // (ApplySplitBatch) and the fused path (ApplySplitBatchInRegion); all
+  // Batched-apply pieces shared by the region-per-pass entry point
+  // (ApplySplitBatch) and the fused one (ApplySplitBatchInRegion); all
   // operate on the chunk grid staged by PrepareSplitBatch.
   void BuildChunkGrid(std::span<const SplitTask> tasks);
   void CountChunkRange(std::span<const SplitTask> tasks,

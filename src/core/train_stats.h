@@ -57,10 +57,9 @@ struct TrainStats {
   int64_t apply_allocs = 0;       // partitioner grow events
 
   // Grow-phase scheduler accounting (pool Snapshot deltas taken around
-  // the grow loop of each tree). With the fused-step scheduler a TopK
-  // batch costs exactly ONE region launch and pays its synchronization as
-  // in-region phase barriers; the region-per-phase path launches >= 5
-  // regions per batch and records zero phase barriers. Table VI's
+  // the grow loop of each tree). A TopK batch costs exactly ONE region
+  // launch and pays its synchronization as in-region phase barriers;
+  // ASYNC adds at most one node-parallel region per tree. Table VI's
   // barrier-overhead rows are regenerated from these.
   int64_t topk_batches = 0;          // TopK batches popped (grow steps)
   int64_t grow_region_launches = 0;  // RunOnAllThreads launches while growing

@@ -34,8 +34,6 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       queue_(params.grow_policy),
       use_subtraction_(params.use_hist_subtraction &&
                        params.mode != ParallelMode::kASYNC),
-      use_fused_(params.use_fused_step &&
-                 params.mode != ParallelMode::kASYNC),
       use_quant_(params.quantize_hist &&
                  params.mode != ParallelMode::kASYNC),
       simd_level_(ResolveSimdLevel(params.simd)) {
@@ -120,18 +118,6 @@ void HarpTreeBuilder::StageApply(RegTree& tree) {
                                      children_[2 * i + 1], cand.split.feature,
                                      cand.split.bin,
                                      cand.split.default_left});
-  }
-}
-
-void HarpTreeBuilder::ApplySplitBatch(RegTree& tree) {
-  StageApply(tree);
-  // Row partitioning: the whole TopK batch goes through the partitioner's
-  // batched count/scatter — one pair of parallel regions for all K nodes
-  // instead of regions (or a region of serial partitions) per node, the
-  // ApplySplit-phase analogue of the barriers ∝ 2^D/K argument.
-  partitioner_.ApplySplitBatch(split_tasks_, matrix_, &pool_);
-  for (int child : children_) {
-    tree.mutable_node(child).num_rows = partitioner_.NodeSize(child);
   }
 }
 
@@ -231,42 +217,6 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
       build_rows_ * static_cast<int64_t>(matrix_.num_features());
 }
 
-void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
-  const size_t total_bins = matrix_.TotalBins();
-  const BuildContext ctx = Context();
-
-  {
-    // Planning (histogram acquisition) counts toward the build phase, as
-    // on the fused path.
-    const Stopwatch watch;
-    PlanBuild(tree);
-    if (plan_mode_ == ParallelMode::kDP) {
-      reduce_ns_ += dp_.Build(ctx, build_list_);
-    } else {
-      mp_.Build(ctx, build_list_);
-    }
-
-    if (!subtract_list_.empty()) {
-      pool_.ParallelForDynamic(
-          static_cast<int64_t>(subtract_list_.size()), 1,
-          [&](int64_t begin, int64_t end, int) {
-            for (int64_t i = begin; i < end; ++i) {
-              const SubtractJob& job = subtract_list_[static_cast<size_t>(i)];
-              SubtractHistogram(job.child_h, job.parent_h, job.sibling_h,
-                                total_bins);
-            }
-          });
-      // Parent histograms have served their purpose.
-      for (const Candidate& cand : batch_) hists_.Release(cand.node_id);
-    }
-    build_ns_ += watch.ElapsedNs();
-  }
-
-  const Stopwatch find_watch;
-  FindSplitsBatch(tree, children_);
-  find_ns_ += find_watch.ElapsedNs();
-}
-
 void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
                                int64_t& leaves, TrainStats* stats,
                                const std::function<bool()>& stop) {
@@ -282,14 +232,7 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
     if (batch_.empty()) break;
     ++topk_batches_;
 
-    if (use_fused_) {
-      FusedStep(tree);
-    } else {
-      const Stopwatch apply_watch;
-      ApplySplitBatch(tree);
-      apply_ns_ += apply_watch.ElapsedNs();
-      BuildAndFind(tree);
-    }
+    FusedStep(tree);
     leaves += static_cast<int64_t>(batch_.size());
     if (stats != nullptr) {
       stats->nodes_split += static_cast<int64_t>(batch_.size());

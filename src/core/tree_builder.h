@@ -96,9 +96,10 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // task-granularity threshold (end), MP in between.
   ParallelMode ChooseMode(size_t batch_nodes, int64_t batch_rows) const;
 
-  // Batch-synchronous growth loop; stops early when `stop` returns true
-  // (used by ASYNC's DP ramp-up phase). Returns via out-params so the
-  // async phase can continue from the same state.
+  // Batch-synchronous growth loop: one FusedStep per TopK batch; stops
+  // early when `stop` returns true (used by ASYNC's DP ramp-up phase).
+  // Returns via out-params so the async phase can continue from the same
+  // state.
   void SyncGrow(RegTree& tree, GrowQueue& queue, int64_t& leaves,
                 TrainStats* stats, const std::function<bool()>& stop);
 
@@ -106,35 +107,29 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   void AsyncGrow(RegTree& tree, GrowQueue& queue, int64_t& leaves,
                  TrainStats* stats);
 
-  // --- one grow step, region-per-phase path (the bit-identity oracle) ---
-
   // Applies batch_'s splits to the tree and stages the partitioner tasks
-  // (serial; shared with the fused path).
+  // (serial).
   void StageApply(RegTree& tree);
-  // StageApply + batched row partition + child num_rows (fills children_).
-  void ApplySplitBatch(RegTree& tree);
   // Decides which children get a direct build vs. parent - sibling
   // subtraction, acquires child histograms, picks the batch's DP/MP mode
-  // (fills build_list_ / subtract_list_ / plan_mode_; shared).
+  // (fills build_list_ / subtract_list_ / plan_mode_).
   void PlanBuild(RegTree& tree);
-  // PlanBuild + histogram build + subtraction + FindSplitsBatch over the
-  // children (fills found_, one Candidate per child, possibly invalid).
-  void BuildAndFind(RegTree& tree);
-  // FindSplit for nodes whose histograms are live (fills found_).
+  // FindSplit for nodes whose histograms are live, outside any grow step
+  // (the root; fills found_).
   void FindSplitsBatch(const RegTree& tree, std::span<const int> nodes);
 
-  // Shared find pieces: stage the nodes x feature-block grid, run one
-  // grid cell, serially merge the partials into found_ (fixed fb order,
-  // so the merge is schedule-independent).
+  // Find pieces: stage the nodes x feature-block grid, run one grid cell,
+  // serially merge the partials into found_ (fixed fb order, so the merge
+  // is schedule-independent).
   void PrepareFind(const RegTree& tree, std::span<const int> nodes);
   void RunFindTask(size_t grid_index);
   void MergeFound(const RegTree& tree);
 
-  // --- one grow step, fused path (tree_builder_fused.cpp) ---
+  // --- one grow step (tree_builder_fused.cpp) ---
 
   // Runs apply / build / subtract / find as phases of ONE FusedRegion:
-  // exactly one region launch per TopK batch. Bit-identical outputs to
-  // ApplySplitBatch + BuildAndFind.
+  // exactly one region launch per TopK batch (fills children_ and found_,
+  // one Candidate per child, possibly invalid).
   void FusedStep(RegTree& tree);
   // Barrier epilogue after the partition: child num_rows, PlanBuild, and
   // (MP) overlap-graph staging.
@@ -169,7 +164,6 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   HistBuilderMP mp_;
   GrowQueue queue_;
   bool use_subtraction_;  // forced off for ASYNC (see .cpp)
-  bool use_fused_;        // forced off for ASYNC (own scheduler)
   bool use_quant_;        // forced off for ASYNC (see .cpp)
   SimdLevel simd_level_;  // resolved once from params.simd
   // Per-tree quantization state (scales + packed rows); valid only while

@@ -1,16 +1,17 @@
-// Fused-step grow scheduler: one TopK batch = ONE persistent parallel
-// region. The step's phases (apply count/scatter, histogram build, DP
-// reduce, subtraction, find) are sequenced through in-region PhaseBarriers
-// instead of one RunOnAllThreads launch per phase, turning the per-step
+// The grow scheduler: one TopK batch = ONE persistent parallel region.
+// The step's phases (apply count/scatter, histogram build, DP reduce,
+// subtraction, find) are sequenced through in-region PhaseBarriers instead
+// of one RunOnAllThreads launch per phase, turning the per-step
 // synchronization cost from region launches (cond-var epoch handoff) into
 // sense-reversing barrier rendezvous.
 //
 // Two build schedules run inside the region:
 //
-//   DP: barriered phases, mirroring the region-per-phase path one barrier
-//   per former region (HistBuilderDP::BuildInRegion), then subtract, then
-//   the find grid. Replica reduction makes cross-phase overlap pointless
-//   here: no child histogram is final before the reduce barrier anyway.
+//   DP: barriered phases (HistBuilderDP::BuildInRegion, the same sequence
+//   the root and sharded builds run through HistBuilderDP::Build), then
+//   subtract, then the find grid. Replica reduction makes cross-phase
+//   overlap pointless here: no child histogram is final before the reduce
+//   barrier anyway.
 //
 //   MP: an overlap work-graph. Cube tasks write disjoint regions of the
 //   shared child histograms, so a node's histogram is final the moment the
@@ -21,11 +22,12 @@
 //   pushes the large child's find cells. A node's subtract + find overlap
 //   other nodes' builds, with no barrier between the phases at all.
 //
-// Bit-identity with the region-per-phase path holds because nothing
-// schedule-dependent touches the numbers: cubes write disjoint slots in
-// sequential row order, the partition chunk grid is fixed, the DP reduce
-// keeps ascending thread order, and find partials merge serially in fixed
-// feature-block order (tests/test_fused_step.cpp sweeps the matrix).
+// Trees are independent of the schedule and the thread count because
+// nothing schedule-dependent touches the numbers: cubes write disjoint
+// slots in sequential row order, the partition chunk grid is fixed, the DP
+// reduce keeps ascending thread order, and find partials merge serially in
+// fixed feature-block order (tests/test_tree_builder.cpp sweeps modes,
+// blocks and thread counts against a 1-thread DP reference).
 #include <algorithm>
 #include <thread>
 

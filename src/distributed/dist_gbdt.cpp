@@ -18,55 +18,35 @@
 namespace harp {
 namespace {
 
-// One worker's training state and loop. Determinism argument: every
-// worker sees identical global histograms (rank-ordered reduction — and
-// the sparse/quantized encodings are exact, see sparse_hist.h), identical
-// node sums, and runs the identical FindSplit / queue logic, so trees,
-// margins-per-shard and models evolve in lockstep without any decision
-// broadcast. Which histograms are built, exchanged, derived or kept is
-// decided from that shared state only (global row counts, the queue), so
-// every rank exchanges the same nodes.
-class ShardWorker {
+// One worker's tree builder, driven by the shared boosting loop
+// (RunBoosting). Determinism argument: every worker sees identical global
+// histograms (rank-ordered reduction — and the sparse/quantized encodings
+// are exact, see sparse_hist.h), identical node sums, and runs the
+// identical FindSplit / queue logic, so trees, margins-per-shard and
+// models evolve in lockstep without any decision broadcast. Which
+// histograms are built, exchanged, derived or kept is decided from that
+// shared state only (global row counts, the queue), so every rank
+// exchanges the same nodes.
+class ShardWorker final : public TreeBuilderBase {
  public:
-  ShardWorker(Communicator& comm, const Dataset& shard,
-              const QuantileCuts& cuts, const TrainParams& params,
-              int worker_threads)
+  ShardWorker(Communicator& comm, const BinnedMatrix& matrix,
+              const TrainParams& params, ThreadPool& pool)
       : comm_(comm),
-        shard_(shard),
         params_(params),
-        matrix_(BinnedMatrix::Build(shard, cuts)),
+        matrix_(matrix),
         evaluator_(params),
         hists_(matrix_.TotalBins()),
         partitioner_(matrix_.num_rows(), params.use_membuf),
-        pool_(std::max(1, worker_threads)),
+        pool_(pool),
         use_quant_(params.quantize_hist),
         sparse_(params.comm_compress == "sparse"),
         subtract_(use_quant_ || params.use_hist_subtraction),
         simd_level_(ResolveSimdLevel(params.simd)) {}
 
-  GbdtModel Run() {
-    const auto objective =
-        Objective::Create(Objective::ConfigFromParams(params_));
-    const double base_margin = objective->InitialMargin(params_.base_score);
-    GbdtModel model(params_.objective, base_margin, matrix_.cuts());
-    if (params_.objective == ObjectiveKind::kQuantile) {
-      model.set_quantile_alpha(params_.quantile_alpha);
-    }
-    std::vector<double> margins(shard_.num_rows(), base_margin);
-    std::vector<GradientPair> gradients;
-
-    for (int iter = 0; iter < params_.num_trees; ++iter) {
-      objective->ComputeGradients(shard_.labels(), margins, &gradients);
-      RegTree tree = BuildTree(gradients, iter);
-      // Leaf scatter on the local shard.
-      for (int id = 0; id < tree.num_nodes(); ++id) {
-        if (tree.node(id).IsLeaf()) {
-          partitioner_.AddToMargins(id, tree.node(id).leaf_value, &margins);
-        }
-      }
-      model.AddTree(std::move(tree));
-    }
-    return model;
+  // Leaf scatter on the local shard.
+  void UpdateMargins(const RegTree& tree,
+                     std::vector<double>* margins) override {
+    ScatterLeafValues(tree, partitioner_, pool_, margins);
   }
 
  private:
@@ -81,8 +61,7 @@ class ShardWorker {
   // (order-independent), sums and the row count via the rank-ordered f64
   // allreduce — every rank derives IDENTICAL scales from the agreed
   // totals, which the exact int64 wire encoding depends on.
-  void AgreeQuantScales(const std::vector<GradientPair>& gradients,
-                        int iter) {
+  void AgreeQuantScales(const std::vector<GradientPair>& gradients) {
     const QuantStats local = ComputeQuantStats(gradients, &pool_);
     double maxima[2] = {local.g_max, local.h_max};
     comm_.AllreduceMax(maxima, 2);
@@ -97,7 +76,7 @@ class ShardWorker {
     quant_round_.scales = QuantScalesFromStats(global);
     QuantizeGradients(gradients, quant_round_.scales,
                       params_.quant_stochastic,
-                      params_.seed + static_cast<uint64_t>(iter),
+                      params_.seed + static_cast<uint64_t>(rounds_),
                       static_cast<int>(simd_level_), &pool_,
                       &quant_round_.packed);
   }
@@ -189,13 +168,14 @@ class ShardWorker {
     return cand;
   }
 
-  RegTree BuildTree(const std::vector<GradientPair>& gradients, int iter) {
+  RegTree BuildTree(const std::vector<GradientPair>& gradients,
+                    TrainStats* /*stats*/) override {
     const int64_t max_leaves = params_.MaxLeaves();
     const int max_depth = params_.MaxDepth();
     const int max_nodes = static_cast<int>(2 * max_leaves);
     partitioner_.Reset(gradients, max_nodes, &pool_);
     hists_.ReleaseAll();
-    if (use_quant_) AgreeQuantScales(gradients, iter);
+    if (use_quant_) AgreeQuantScales(gradients);
 
     RegTree tree;
     tree.mutable_nodes().reserve(static_cast<size_t>(max_nodes));
@@ -268,17 +248,17 @@ class ShardWorker {
       TreeNode& node = tree.mutable_node(id);
       if (node.IsLeaf()) node.leaf_value = evaluator_.LeafValue(node.sum);
     }
+    ++rounds_;
     return tree;
   }
 
   Communicator& comm_;
-  const Dataset& shard_;
   const TrainParams& params_;
-  BinnedMatrix matrix_;
+  const BinnedMatrix& matrix_;
   SplitEvaluator evaluator_;
   HistogramPool hists_;
   RowPartitioner partitioner_;
-  ThreadPool pool_;
+  ThreadPool& pool_;
   HistBuilderDP dp_;
   const bool use_quant_;
   const bool sparse_;
@@ -299,6 +279,7 @@ class ShardWorker {
   std::vector<int> build_;
   std::vector<Derived> derived_;
   std::vector<Candidate> queued_;
+  int64_t rounds_ = 0;  // trees built (stochastic-rounding seed)
 };
 
 // Contiguous shard boundaries: rank r owns rows [rows*r/W, rows*(r+1)/W).
@@ -326,6 +307,17 @@ void CheckSupported(const TrainParams& params) {
       << ToString(params.objective) << "', which needs query groups";
 }
 
+// One rank's training: bins its shard with the global cuts and runs the
+// shared boosting loop with a ShardWorker as the tree builder.
+GbdtModel TrainOnShard(Communicator& comm, const Dataset& shard,
+                       const QuantileCuts& cuts, const TrainParams& params,
+                       int worker_threads) {
+  const BinnedMatrix matrix = BinnedMatrix::Build(shard, cuts);
+  ThreadPool pool(std::max(1, worker_threads));
+  ShardWorker worker(comm, matrix, params, pool);
+  return RunBoosting(matrix, shard.labels(), params, pool, worker);
+}
+
 }  // namespace
 
 GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
@@ -342,8 +334,7 @@ GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
   const QuantileCuts cuts = QuantileCuts::Compute(dataset, params.max_bins);
   const auto [begin, end] = ShardRange(dataset.num_rows(), comm.rank(), world);
   const Dataset shard = dataset.Slice(begin, end);
-  ShardWorker worker(comm, shard, cuts, params, worker_threads);
-  return worker.Run();
+  return TrainOnShard(comm, shard, cuts, params, worker_threads);
 }
 
 DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
@@ -370,9 +361,9 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
   const Stopwatch watch;
   SimulatedCluster cluster(workers);
   cluster.Run([&](Communicator& comm) {
-    ShardWorker worker(comm, shards[static_cast<size_t>(comm.rank())], cuts,
-                       params, worker_threads);
-    models[static_cast<size_t>(comm.rank())] = worker.Run();
+    models[static_cast<size_t>(comm.rank())] =
+        TrainOnShard(comm, shards[static_cast<size_t>(comm.rank())], cuts,
+                     params, worker_threads);
     per_rank[static_cast<size_t>(comm.rank())] = comm.stats();
   });
   result.seconds = watch.ElapsedSec();

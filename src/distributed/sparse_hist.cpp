@@ -1,5 +1,6 @@
 #include "distributed/sparse_hist.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -7,7 +8,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "parallel/touched_regions.h"
 
 namespace harp {
 namespace {
@@ -242,61 +242,53 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
                       std::vector<uint8_t>* out) {
   HARP_CHECK_GT(cells, 0);
-  const int world = static_cast<int>(frames.size());
-  const uint32_t regions_per_hist = RegionsPerHist(cells);
-  const uint32_t total_regions = num_hists * regions_per_hist;
-
-  std::vector<ParsedFrame> parsed;
-  parsed.reserve(frames.size());
-  for (const auto& frame : frames) {
-    parsed.push_back(ParseFrame(frame.first, frame.second, num_hists, cells,
-                                fmt));
-  }
-
-  // Per-rank region -> (bitmap index, payload cell offset), and the union
-  // touched map. TouchedRegions (PR 1) gives the cache-line-isolated
-  // per-rank rows and the per-region contributor query.
-  TouchedRegions touched;
-  touched.Reset(world, static_cast<int>(total_regions));
-  struct RegionRef {
-    uint32_t bitmap_idx = 0;
-    uint32_t cell_off = 0;
-  };
-  std::vector<std::vector<RegionRef>> refs(
-      frames.size(), std::vector<RegionRef>(total_regions));
-  for (int rank = 0; rank < world; ++rank) {
-    const ParsedFrame& f = parsed[static_cast<size_t>(rank)];
-    uint32_t bitmap_idx = 0;
-    uint32_t cursor = 0;
-    for (uint32_t i = 0; i < f.header.num_runs; ++i) {
-      const SparseHistRun& run = f.runs[i];
-      for (uint32_t r = run.first_region;
-           r < run.first_region + run.num_regions; ++r, ++bitmap_idx) {
-        touched.Mark(rank, static_cast<int>(r));
-        refs[static_cast<size_t>(rank)][r] = RegionRef{bitmap_idx, cursor};
-        cursor += static_cast<uint32_t>(std::popcount(f.bitmaps[bitmap_idx]));
-      }
-    }
-  }
-
-  // Sweep regions in ascending order; within each touched region sum the
-  // contributing ranks' cells in ascending rank order (the first
-  // contributor of each CELL assigns, later ones add) — the same per-cell
-  // addition order as the dense rank-ordered reduction, hence bitwise
-  // identical where both paths touch.
-  FrameBuilder b;
   const size_t cell_bytes = fmt.quant ? sizeof(int64_t) : sizeof(GHPair);
+
+  // One cursor per rank over its listed regions: (run, region, bitmap
+  // index, next payload cell). ParseFrame guarantees the runs are sorted
+  // and disjoint, so each cursor walks its regions in ascending order.
+  struct Cursor {
+    ParsedFrame f;
+    uint32_t run = 0;
+    uint32_t region = 0;
+    uint32_t bitmap_idx = 0;
+    const uint8_t* cell = nullptr;
+    bool Done() const { return run >= f.header.num_runs; }
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(frames.size());
+  for (const auto& frame : frames) {
+    Cursor c;
+    c.f = ParseFrame(frame.first, frame.second, num_hists, cells, fmt);
+    c.cell = c.f.payload;
+    if (!c.Done()) c.region = c.f.runs[0].first_region;
+    cursors.push_back(c);
+  }
+
+  // Visit the union of listed regions in ascending order, each time
+  // jumping to the smallest next region across ranks. Within a region the
+  // contributing ranks' cells are summed in ascending rank order (the
+  // first contributor of each CELL assigns, later ones add) — the same
+  // per-cell addition order as the dense rank-ordered reduction, hence
+  // bitwise identical where both paths touch.
+  FrameBuilder b;
   GHPair acc_f64[kSparseRegionCells];
   int64_t acc_i64[kSparseRegionCells];
-  for (uint32_t region = 0; region < total_regions; ++region) {
+  for (;;) {
+    bool any = false;
+    uint32_t region = 0;
+    for (const Cursor& c : cursors) {
+      if (c.Done() || (any && c.region >= region)) continue;
+      region = c.region;
+      any = true;
+    }
+    if (!any) break;  // every rank's regions consumed
+
     uint8_t seen = 0;  // bits already assigned in the accumulator
-    for (int rank = 0; rank < world; ++rank) {
-      if (!touched.Touched(rank, static_cast<int>(region))) continue;
-      const ParsedFrame& f = parsed[static_cast<size_t>(rank)];
-      const RegionRef ref = refs[static_cast<size_t>(rank)][region];
-      const uint8_t bitmap = f.bitmaps[ref.bitmap_idx];
-      const uint8_t* src =
-          f.payload + static_cast<size_t>(ref.cell_off) * cell_bytes;
+    for (Cursor& c : cursors) {
+      if (c.Done() || c.region != region) continue;
+      const uint8_t bitmap = c.f.bitmaps[c.bitmap_idx];
+      const uint8_t* src = c.cell;
       if (fmt.quant) {
         for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
           if (!(bitmap & (1u << i))) continue;
@@ -322,8 +314,16 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
         }
       }
       seen |= bitmap;
+
+      // Advance past this region, into the next run when this one ends.
+      c.cell = src;
+      ++c.bitmap_idx;
+      const SparseHistRun& run = c.f.runs[c.run];
+      if (++c.region == run.first_region + run.num_regions &&
+          ++c.run < c.f.header.num_runs) {
+        c.region = c.f.runs[c.run].first_region;
+      }
     }
-    if (seen == 0) continue;  // no rank touched this region
     b.AddRegion(region, seen);
     const size_t off = b.payload.size();
     b.payload.resize(off + std::popcount(seen) * cell_bytes);

@@ -28,12 +28,13 @@
 // make the f64 histogram value k*2^-s, so multiplying by 2^s recovers the
 // integer k bit for bit, and the integer sums dequantize back exactly.
 //
-// Determinism: ReduceSparseHist combines rank frames per cell in ascending
-// rank order (the ranks touching each region are tracked with PR 1's
-// TouchedRegions bookkeeping), so the reduced result is bitwise identical
-// to the dense rank-ordered reduction whenever skipped cells are exact
-// +0.0 — which this pipeline guarantees (cells with -0.0 bits count as
-// touched and are shipped).
+// Determinism: ReduceSparseHist walks every rank's sorted run list with a
+// cursor, visits the union of listed regions in ascending order and
+// combines the ranks' cells per cell in ascending rank order, so the
+// reduced result is bitwise identical to the dense rank-ordered reduction
+// whenever skipped cells are exact +0.0 — which this pipeline guarantees
+// (cells with -0.0 bits count as touched and are shipped). Its cost is
+// proportional to the listed regions, not to the histograms' size.
 //
 // All parsing entry points validate the frame (magic, version, geometry,
 // run monotonicity, payload size) and throw std::runtime_error on

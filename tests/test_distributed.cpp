@@ -248,45 +248,79 @@ std::vector<GHPair> DenseRankOrderedSum(
   return acc;
 }
 
+// Encodes each rank's histograms, reduces the frames, decodes the result
+// and compares it bitwise with the dense rank-ordered sum. Returns the
+// reduced frame's size.
+size_t ExpectReduceMatchesDense(const std::vector<std::vector<GHPair>>& hists,
+                                uint32_t num_hists, uint32_t cells,
+                                const SparseHistFormat& fmt) {
+  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
+  std::vector<std::vector<uint8_t>> frames(hists.size());
+  Transport::Frames views;
+  for (size_t r = 0; r < hists.size(); ++r) {
+    std::vector<const GHPair*> ptrs;
+    for (uint32_t h = 0; h < num_hists; ++h) {
+      ptrs.push_back(hists[r].data() + static_cast<size_t>(h) * cells);
+    }
+    EncodeSparseHist(ptrs.data(), num_hists, cells, fmt, &frames[r]);
+    views.emplace_back(frames[r].data(), frames[r].size());
+  }
+  std::vector<uint8_t> reduced;
+  ReduceSparseHist(views, num_hists, cells, fmt, &reduced);
+
+  std::vector<GHPair> decoded(static_cast<size_t>(num_hists) * cells,
+                              GHPair{1.0, 1.0});  // must be overwritten
+  std::vector<GHPair*> out_ptrs;
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    out_ptrs.push_back(decoded.data() + static_cast<size_t>(h) * cells);
+  }
+  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs.data(), num_hists,
+                   cells, fmt);
+  EXPECT_EQ(0, std::memcmp(decoded.data(), expect.data(),
+                           decoded.size() * sizeof(GHPair)));
+  return reduced.size();
+}
+
 class SparseHistCodec : public ::testing::TestWithParam<bool> {};
 
 INSTANTIATE_TEST_SUITE_P(Formats, SparseHistCodec,
                          ::testing::Values(false, true));
 
 TEST_P(SparseHistCodec, EncodeReduceDecodeMatchesDenseRankOrderBitwise) {
-  const bool quant = GetParam();
-  const int world = 3;
   const uint32_t num_hists = 2;
   const uint32_t cells = 37;  // partial last region
   SparseHistFormat fmt = QuantFormat();
-  fmt.quant = quant;
-
-  const auto hists = RankHists(world, num_hists, cells);
-  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
-
-  std::vector<std::vector<uint8_t>> frames(world);
-  Transport::Frames views;
-  for (int r = 0; r < world; ++r) {
-    const GHPair* ptrs[2] = {hists[static_cast<size_t>(r)].data(),
-                             hists[static_cast<size_t>(r)].data() + cells};
-    EncodeSparseHist(ptrs, num_hists, cells, fmt,
-                     &frames[static_cast<size_t>(r)]);
-    views.emplace_back(frames[static_cast<size_t>(r)].data(),
-                       frames[static_cast<size_t>(r)].size());
-  }
-  std::vector<uint8_t> reduced;
-  ReduceSparseHist(views, num_hists, cells, fmt, &reduced);
+  fmt.quant = GetParam();
+  const size_t reduced_bytes = ExpectReduceMatchesDense(
+      RankHists(/*world=*/3, num_hists, cells), num_hists, cells, fmt);
   // Compression: the frame must beat the dense payload on this data.
-  EXPECT_LT(reduced.size(),
+  EXPECT_LT(reduced_bytes,
             static_cast<size_t>(DenseHistBytes(num_hists, cells)));
+}
 
-  std::vector<GHPair> decoded(static_cast<size_t>(num_hists) * cells,
-                              GHPair{1.0, 1.0});  // must be overwritten
-  GHPair* out_ptrs[2] = {decoded.data(), decoded.data() + cells};
-  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs, num_hists, cells,
-                   fmt);
-  ASSERT_EQ(0, std::memcmp(decoded.data(), expect.data(),
-                           decoded.size() * sizeof(GHPair)));
+TEST_P(SparseHistCodec, RanksWithDisjointRegionRangesReduceBitwise) {
+  // Ranks whose listed region ranges do not overlap: rank 0 touches only
+  // the first histogram's head, rank 1 nothing, rank 2 the first
+  // histogram's tail and all of the second histogram, rank 3 one region
+  // between ranks 0 and 2 and one region inside rank 2's range. Ranks
+  // run out of regions at different points of the walk.
+  const int world = 4;
+  const uint32_t num_hists = 2;
+  const uint32_t cells = 45;  // 6 regions per histogram, last one partial
+  SparseHistFormat fmt = QuantFormat();
+  fmt.quant = GetParam();
+  std::vector<std::vector<GHPair>> hists(
+      world, std::vector<GHPair>(num_hists * cells, GHPair{}));
+  auto set = [&](int rank, uint32_t slot, double k) {  // hessian >= 0
+    hists[static_cast<size_t>(rank)][slot] =
+        GHPair{k * fmt.scales.g_inv, std::abs(k) * fmt.scales.h_inv};
+  };
+  for (uint32_t i = 0; i < 12; ++i) set(0, i, i + 1.0);        // regions 0-1
+  for (uint32_t i = 32; i < 45; ++i) set(2, i, -(i + 1.0));    // regions 4-5
+  for (uint32_t i = 45; i < 90; i += 3) set(2, i, i + 2.0);    // hist 1
+  set(3, 17, 7.0);                                             // region 2
+  set(3, 45 + 41, 3.0);  // the second histogram's partial last region
+  ExpectReduceMatchesDense(hists, num_hists, cells, fmt);
 }
 
 TEST_P(SparseHistCodec, AllZeroHistogramsShipHeaderOnlyFrames) {

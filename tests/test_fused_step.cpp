@@ -1,13 +1,12 @@
 // Fused-step execution layer: PhaseBarrier and ThreadPool::FusedRegion
-// primitives, then the grow scheduler built on them — the fused path must
-// produce bit-identical trees to the region-per-phase oracle across
-// DP/MP/SYNC x subtraction x thread count, while collapsing the region
-// count to exactly one launch per TopK batch.
+// primitives, then the grow scheduler built on them — exactly one region
+// launch per TopK batch, and no scratch growth in steady state. Tree
+// equality across modes, blocks and thread counts is checked against a
+// serial reference in tests/test_tree_builder.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,7 +20,6 @@ namespace {
 
 using harp::testing::MakeDataset;
 using harp::testing::MakeGradients;
-using harp::testing::TreesEqual;
 
 // ---------- PhaseBarrier ----------
 
@@ -199,7 +197,7 @@ TEST(FusedRegion, CountsOneRegionAndPerPhaseBarriers) {
   EXPECT_EQ(after.phase_barriers - before.phase_barriers, 3);
 }
 
-// ---------- fused grow path vs. region-per-phase oracle ----------
+// ---------- the grow scheduler ----------
 
 struct Env {
   Dataset ds;
@@ -222,50 +220,10 @@ RegTree BuildWith(const Env& env, TrainParams params, int threads,
   return builder.BuildTree(env.gh, stats);
 }
 
-TEST(FusedStep, BitIdenticalToRegionPerPhase) {
-  const Env env = MakeEnv(3000);
-  for (ParallelMode mode :
-       {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
-    for (bool subtraction : {false, true}) {
-      for (int threads : {1, 4}) {
-        TrainParams p;
-        p.grow_policy = GrowPolicy::kTopK;
-        p.topk = 4;
-        p.tree_size = 6;
-        p.min_split_loss = 0.0;
-        p.min_child_weight = 0.1;
-        p.mode = mode;
-        p.use_hist_subtraction = subtraction;
-        p.node_blk_size = 2;
-        p.feature_blk_size = 4;
-
-        p.use_fused_step = false;
-        TrainStats oracle_stats;
-        const RegTree oracle = BuildWith(env, p, threads, &oracle_stats);
-
-        p.use_fused_step = true;
-        TrainStats fused_stats;
-        const RegTree fused = BuildWith(env, p, threads, &fused_stats);
-
-        const std::string label =
-            "mode=" + ToString(mode) +
-            " sub=" + std::to_string(subtraction) +
-            " threads=" + std::to_string(threads);
-        EXPECT_TRUE(TreesEqual(oracle, fused)) << label;
-        EXPECT_GT(oracle.num_nodes(), 5) << label;
-        // Same trees means the same grow steps on both schedulers.
-        EXPECT_EQ(oracle_stats.topk_batches, fused_stats.topk_batches)
-            << label;
-      }
-    }
-  }
-}
-
 TEST(FusedStep, OneRegionLaunchPerTopKBatch) {
-  // Depth-8 SYNC run (the acceptance scenario): with the fused scheduler
-  // the grow loop must launch EXACTLY one parallel region per TopK batch;
-  // the region-per-phase oracle launches several and records zero phase
-  // barriers.
+  // Depth-8 SYNC run (the acceptance scenario): the grow loop must launch
+  // EXACTLY one parallel region per TopK batch and sequence its phases
+  // through in-region barriers.
   const Env env = MakeEnv(20000, 10, 11);
   TrainParams p;
   p.grow_policy = GrowPolicy::kTopK;
@@ -275,20 +233,11 @@ TEST(FusedStep, OneRegionLaunchPerTopKBatch) {
   p.min_child_weight = 0.1;
   p.mode = ParallelMode::kSYNC;
 
-  p.use_fused_step = true;
-  TrainStats fused;
-  const RegTree fused_tree = BuildWith(env, p, 4, &fused);
-  ASSERT_GT(fused.topk_batches, 3);
-  EXPECT_EQ(fused.grow_region_launches, fused.topk_batches);
-  EXPECT_GT(fused.grow_phase_barriers, fused.topk_batches);
-
-  p.use_fused_step = false;
-  TrainStats oracle;
-  const RegTree oracle_tree = BuildWith(env, p, 4, &oracle);
-  EXPECT_TRUE(TreesEqual(oracle_tree, fused_tree));
-  EXPECT_EQ(oracle.topk_batches, fused.topk_batches);
-  EXPECT_EQ(oracle.grow_phase_barriers, 0);
-  EXPECT_GT(oracle.grow_region_launches, 3 * oracle.topk_batches);
+  TrainStats stats;
+  BuildWith(env, p, 4, &stats);
+  ASSERT_GT(stats.topk_batches, 3);
+  EXPECT_EQ(stats.grow_region_launches, stats.topk_batches);
+  EXPECT_GT(stats.grow_phase_barriers, stats.topk_batches);
 }
 
 TEST(FusedStep, SteadyStateScratchStopsGrowing) {
@@ -297,28 +246,24 @@ TEST(FusedStep, SteadyStateScratchStopsGrowing) {
   // change any scratch capacity (the builder-side zero-alloc guarantee;
   // the partitioner-side one lives in test_row_partitioner).
   const Env env = MakeEnv(20000, 10, 13);
-  for (bool fused : {true, false}) {
-    TrainParams p;
-    p.grow_policy = GrowPolicy::kTopK;
-    p.topk = 8;
-    p.tree_size = 7;
-    p.min_split_loss = 0.0;
-    p.min_child_weight = 0.1;
-    p.mode = ParallelMode::kSYNC;
-    p.use_hist_subtraction = true;
-    p.use_fused_step = fused;
-    p.num_threads = 4;
+  TrainParams p;
+  p.grow_policy = GrowPolicy::kTopK;
+  p.topk = 8;
+  p.tree_size = 7;
+  p.min_split_loss = 0.0;
+  p.min_child_weight = 0.1;
+  p.mode = ParallelMode::kSYNC;
+  p.use_hist_subtraction = true;
+  p.num_threads = 4;
 
-    ThreadPool pool(4);
-    HarpTreeBuilder builder(env.matrix, p, pool);
-    TrainStats stats;
-    builder.BuildTree(env.gh, &stats);  // warm-up
-    const int64_t warm = builder.scratch_grow_events();
-    for (int t = 0; t < 3; ++t) builder.BuildTree(env.gh, &stats);
-    EXPECT_EQ(builder.scratch_grow_events(), warm)
-        << "fused=" << fused
-        << ": steady-state grow steps must not grow scratch";
-  }
+  ThreadPool pool(4);
+  HarpTreeBuilder builder(env.matrix, p, pool);
+  TrainStats stats;
+  builder.BuildTree(env.gh, &stats);  // warm-up
+  const int64_t warm = builder.scratch_grow_events();
+  for (int t = 0; t < 3; ++t) builder.BuildTree(env.gh, &stats);
+  EXPECT_EQ(builder.scratch_grow_events(), warm)
+      << "steady-state grow steps must not grow scratch";
 }
 
 }  // namespace

@@ -248,34 +248,31 @@ TEST(Gbdt, StatsAccumulateAcrossTrees) {
 // a sibling phase. Checked on both grow schedulers.
 TEST(Gbdt, ReportedTopLevelPhasesAreDisjoint) {
   const Dataset train = LearnableData(3000);
-  for (const bool fused : {true, false}) {
-    TrainParams p = FastParams();
-    p.mode = ParallelMode::kDP;
-    p.tree_size = 6;
-    p.num_trees = 5;
-    p.use_fused_step = fused;
-    TrainStats stats;
-    GbdtTrainer(p).Train(train, &stats);
+  TrainParams p = FastParams();
+  p.mode = ParallelMode::kDP;
+  p.tree_size = 6;
+  p.num_trees = 5;
+  TrainStats stats;
+  GbdtTrainer(p).Train(train, &stats);
 
-    EXPECT_GT(stats.reduce_ns, 0) << "fused=" << fused;
-    EXPECT_LE(stats.reduce_ns, stats.build_hist_ns) << "fused=" << fused;
-    const int64_t top_level = stats.build_hist_ns + stats.find_split_ns +
-                              stats.apply_split_ns + stats.gradient_ns +
-                              stats.quantize_ns + stats.update_ns;
-    EXPECT_LE(top_level, stats.wall_ns) << "fused=" << fused;
+  EXPECT_GT(stats.reduce_ns, 0);
+  EXPECT_LE(stats.reduce_ns, stats.build_hist_ns);
+  const int64_t top_level = stats.build_hist_ns + stats.find_split_ns +
+                            stats.apply_split_ns + stats.gradient_ns +
+                            stats.quantize_ns + stats.update_ns;
+  EXPECT_LE(top_level, stats.wall_ns);
 
-    const std::string report = stats.Report();
-    const size_t begin = report.find("phases: ");
-    ASSERT_NE(begin, std::string::npos);
-    std::string phases = report.substr(begin, report.find('\n', begin) - begin);
-    const size_t open = phases.find(" (reduce=");
-    ASSERT_NE(open, std::string::npos) << phases;
-    EXPECT_EQ(phases.find(' ', phases.find("build_hist=")), open)
-        << "reduce must be nested right after build_hist: " << phases;
-    phases.erase(open, phases.find(')', open) + 1 - open);
-    EXPECT_EQ(phases.find("reduce"), std::string::npos)
-        << "reduce listed as a top-level phase: " << phases;
-  }
+  const std::string report = stats.Report();
+  const size_t begin = report.find("phases: ");
+  ASSERT_NE(begin, std::string::npos);
+  std::string phases = report.substr(begin, report.find('\n', begin) - begin);
+  const size_t open = phases.find(" (reduce=");
+  ASSERT_NE(open, std::string::npos) << phases;
+  EXPECT_EQ(phases.find(' ', phases.find("build_hist=")), open)
+      << "reduce must be nested right after build_hist: " << phases;
+  phases.erase(open, phases.find(')', open) + 1 - open);
+  EXPECT_EQ(phases.find("reduce"), std::string::npos)
+      << "reduce listed as a top-level phase: " << phases;
 }
 
 TEST(Gbdt, CallbackSeesEveryIteration) {

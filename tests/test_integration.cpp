@@ -173,7 +173,7 @@ TEST(Integration, ProfilingCountersBehaveAsPaperArgues) {
             xgb_stats.sync.parallel_regions / 2);
 }
 
-TEST(Integration, AsyncUsesFewerRegionsThanSync) {
+TEST(Integration, GrowRegionsArePerBatchAndPerAsyncTree) {
   const Dataset train = GenerateSynthetic(HiggsSpec(0.03));
   TrainParams p;
   p.num_trees = 2;
@@ -182,25 +182,24 @@ TEST(Integration, AsyncUsesFewerRegionsThanSync) {
   p.topk = 16;
   p.num_threads = 4;
 
-  auto regions = [&](ParallelMode mode, bool fused) {
+  auto grow = [&](ParallelMode mode) {
     TrainParams q = p;
     q.mode = mode;
-    q.use_fused_step = fused;
     TrainStats stats;
     GbdtTrainer(q).Train(train, &stats);
-    return stats.sync.parallel_regions;
+    return stats;
   };
-  // ASYNC replaces per-batch regions with one region per tree. The
-  // comparison pins the region-per-phase oracle: with the fused-step
-  // scheduler SYNC itself is down to one region per TopK batch, so the
-  // historical ASYNC-vs-SYNC region gap only exists against the unfused
-  // path. The margin is deliberately modest: since SYNC's ApplySplit went
-  // batched (one count+scatter region pair per TopK batch instead of per
-  // node), unfused SYNC already issues far fewer regions than it used to.
-  const int64_t sync_unfused = regions(ParallelMode::kSYNC, false);
-  EXPECT_LT(regions(ParallelMode::kASYNC, false), sync_unfused * 3 / 4);
-  // The fused scheduler shrinks SYNC's region count further still.
-  EXPECT_LT(regions(ParallelMode::kSYNC, true), sync_unfused / 2);
+  // SYNC: every TopK batch is one region launch, nothing else launches a
+  // region while the tree grows.
+  const TrainStats sync = grow(ParallelMode::kSYNC);
+  ASSERT_GT(sync.topk_batches, 0);
+  EXPECT_EQ(sync.grow_region_launches, sync.topk_batches);
+  // ASYNC: its DP ramp-up batches run the same step (one region each),
+  // then one node-parallel region per tree (at most one; this config
+  // leaves every tree enough candidates to reach that phase).
+  const TrainStats async = grow(ParallelMode::kASYNC);
+  ASSERT_GT(async.topk_batches, 0);
+  EXPECT_EQ(async.grow_region_launches, async.topk_batches + async.trees);
 }
 
 }  // namespace

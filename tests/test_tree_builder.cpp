@@ -59,6 +59,7 @@ struct ConfigCase {
   bool membuf;
   bool subtraction;
   int threads;
+  int tree_size = 5;  // reference and actual tree both use it
 };
 
 std::string ConfigName(const ::testing::TestParamInfo<ConfigCase>& info) {
@@ -69,6 +70,7 @@ std::string ConfigName(const ::testing::TestParamInfo<ConfigCase>& info) {
   n += c.membuf ? "_mb" : "_ga";
   n += c.subtraction ? "_sub" : "_dir";
   n += "_t" + std::to_string(c.threads);
+  if (c.tree_size != 5) n += "_d" + std::to_string(c.tree_size);
   return n;
 }
 
@@ -76,17 +78,17 @@ class DeterministicModes : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(DeterministicModes, SameTreeAsSerialReference) {
   const Env env = MakeEnv();
+  const ConfigCase& c = GetParam();
   for (GrowPolicy policy :
        {GrowPolicy::kDepthwise, GrowPolicy::kLeafwise, GrowPolicy::kTopK}) {
     // Reference: serial DP, no blocks, no tricks.
-    TrainParams ref = BaseParams(policy);
+    TrainParams ref = BaseParams(policy, c.tree_size);
     ref.mode = ParallelMode::kDP;
     const RegTree expected = BuildWith(env, ref, 1);
     ASSERT_TRUE(expected.CheckValid());
     ASSERT_GT(expected.NumLeaves(), 2);
 
-    const ConfigCase& c = GetParam();
-    TrainParams p = BaseParams(policy);
+    TrainParams p = BaseParams(policy, c.tree_size);
     p.mode = c.mode;
     p.feature_blk_size = c.feature_blk;
     p.node_blk_size = c.node_blk;
@@ -112,7 +114,15 @@ INSTANTIATE_TEST_SUITE_P(
         ConfigCase{ParallelMode::kMP, 3, 1, 256, true, true, 4},
         ConfigCase{ParallelMode::kSYNC, 2, 2, 256, true, false, 4},
         ConfigCase{ParallelMode::kSYNC, 0, 4, 256, false, true, 3},
-        ConfigCase{ParallelMode::kSYNC, 4, 2, 16, true, false, 2}),
+        ConfigCase{ParallelMode::kSYNC, 4, 2, 16, true, false, 2},
+        // Single-thread MP and SYNC with and without subtraction, at
+        // topk 4 / depth 6 with node blocks of 2 and feature blocks of 4:
+        // MP's overlap work-graph and SYNC's per-batch DP/MP switch run on
+        // one thread too, and must match the reference as well.
+        ConfigCase{ParallelMode::kMP, 4, 2, 256, true, false, 1, 6},
+        ConfigCase{ParallelMode::kMP, 4, 2, 256, true, true, 1, 6},
+        ConfigCase{ParallelMode::kSYNC, 4, 2, 256, true, false, 1, 6},
+        ConfigCase{ParallelMode::kSYNC, 4, 2, 256, true, true, 1, 6}),
     ConfigName);
 
 // ---------- ASYNC ----------
