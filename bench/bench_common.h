@@ -127,6 +127,8 @@ inline TrainParams HarpParams(int tree_size, ParallelMode mode,
   // inputs (YFCC) still get explicit feature blocks in their benches.
   p.feature_blk_size = 0;
   p.node_blk_size = 32;
+  // The paper builds both children of every split.
+  p.use_hist_subtraction = false;
   return p;
 }
 
@@ -136,6 +138,7 @@ inline TrainParams BaselineParams(int tree_size, GrowPolicy policy) {
   p.tree_size = tree_size;
   p.grow_policy = policy;
   p.num_threads = Threads();
+  p.use_hist_subtraction = false;
   return p;
 }
 

@@ -10,10 +10,14 @@
 //                    [--colsample 1.0] [--valid valid.csv]
 //                    [--early-stopping 0] [--label-column 0] [--header]
 //                    [--quantize] [--quant-stochastic] [--simd auto]
+//                    [--no-subtraction]
 //                    --quantize accumulates histograms in 16-bit
 //                    fixed-point (faster, accuracy within the
 //                    quantization error bound); --simd forces the
 //                    kernel dispatch level (auto|scalar|avx2).
+//                    --no-subtraction builds both children of every
+//                    split instead of deriving the larger one as
+//                    parent - sibling (the paper's configuration).
 //                    --alpha sets the quantile for --objective quantile;
 //                    --max-delta-step stabilizes poisson; lambdarank
 //                    needs libsvm data with qid: columns and optimizes
@@ -48,8 +52,8 @@
 //                     --synth ROWS,FEATURES,DENSITY,SKEW,SEED)
 //                    [--workers N] [--rank R --world W --port P]
 //                    [--compress dense|sparse] [--quantize]
-//                    [--trees 20] [--tree-size 6] [--k 8] [--threads 1]
-//                    [--model out.model]
+//                    [--no-subtraction] [--trees 20] [--tree-size 6]
+//                    [--k 8] [--threads 1] [--model out.model]
 //                    Sharded training over the collective layer. Default:
 //                    N in-process workers (threads). With --rank/--world/
 //                    --port, this process is ONE rank of a multi-process
@@ -132,7 +136,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     arg = arg.substr(2);
     // Boolean switches take no value.
     if (arg == "header" || arg == "zero-based" || arg == "membuf-off" ||
-        arg == "subtraction" || arg == "raw" || arg == "quantize" ||
+        arg == "no-subtraction" || arg == "raw" || arg == "quantize" ||
         arg == "quant-stochastic" || arg == "mmap" ||
         arg == "prefetch-off") {
       args->flags[arg] = true;
@@ -235,7 +239,7 @@ int CmdTrain(const Args& args) {
   p.subsample = args.GetDouble("subsample", 1.0);
   p.colsample_bytree = args.GetDouble("colsample", 1.0);
   p.use_membuf = !args.Has("membuf-off");
-  p.use_hist_subtraction = args.Has("subtraction");
+  p.use_hist_subtraction = !args.Has("no-subtraction");
   p.quantize_hist = args.Has("quantize");
   p.quant_stochastic = args.Has("quant-stochastic");
   p.simd = args.Get("simd", "auto");
@@ -578,6 +582,7 @@ TrainParams DistParams(const Args& args) {
   p.min_child_weight = args.GetDouble("min-child-weight", 1.0);
   p.topk = args.GetInt("k", 8);
   p.grow_policy = GrowPolicy::kTopK;
+  p.use_hist_subtraction = !args.Has("no-subtraction");
   p.quantize_hist = args.Has("quantize");
   p.quant_stochastic = args.Has("quant-stochastic");
   p.comm_compress = args.Get("compress", "dense");

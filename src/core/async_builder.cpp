@@ -44,10 +44,13 @@ void HarpTreeBuilder::AsyncGrow(RegTree& tree, GrowQueue& queue,
 
   // Phase 1 (the leading "X" of mix mode (X, node parallelism, X)): grow
   // batch-synchronously with DP until there is at least one candidate per
-  // thread, so node-level parallelism has enough width.
+  // thread, so node-level parallelism has enough width. This phase
+  // subtracts under the retention rule; node tasks build both children, so
+  // the histograms it retained are released at the handoff.
   const size_t ramp_target = static_cast<size_t>(pool_.num_threads());
   SyncGrow(tree, queue, leaves, stats,
            [&] { return queue.Size() >= ramp_target; });
+  hists_.ReleaseAll();
   if (queue.Empty() || leaves >= max_leaves) return;
 
   // Phase 2: node-parallel. Move the remaining candidates into the shared

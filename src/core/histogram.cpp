@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "core/grow_policy.h"
 
 namespace harp {
 
@@ -91,14 +92,24 @@ void AssignHistogram(GHPair* __restrict dst, const GHPair* __restrict src,
   for (size_t i = 0; i < n; ++i) dst[i] = GHPair{} + src[i];
 }
 
-void SubtractHistogram(GHPair* __restrict out, const GHPair* __restrict parent,
-                       const GHPair* __restrict sibling, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = parent[i] - sibling[i];
-}
-
 void SubtractHistogramInPlace(GHPair* __restrict hist,
                               const GHPair* __restrict sibling, size_t n) {
   for (size_t i = 0; i < n; ++i) hist[i] = hist[i] - sibling[i];
+}
+
+void RetainNextParents(const GrowQueue& queue, const TrainParams& params,
+                       int64_t splits_left, std::vector<Candidate>* scratch,
+                       HistogramPool* hists) {
+  const size_t keep =
+      params.use_hist_subtraction
+          ? static_cast<size_t>(
+                std::min<int64_t>(params.EffectiveTopK(), splits_left))
+          : 0;
+  queue.SortedInto(scratch);
+  for (size_t i = keep; i < scratch->size(); ++i) {
+    const int node = (*scratch)[i].node_id;
+    if (hists->Has(node)) hists->Release(node);
+  }
 }
 
 void ClearHistogram(GHPair* hist, size_t n) {

@@ -2,10 +2,10 @@
 //
 // Each node's histogram is a flat array of TotalBins() GHPair slots
 // (16 bytes each), indexed by BinOffset(feature) + bin. A pool recycles
-// buffers across nodes and trees — at most O(active nodes) buffers live at
-// once — and supports the parent-minus-sibling subtraction trick. Acquire/
-// Release are guarded by a spin mutex so ASYNC worker threads can allocate
-// node histograms concurrently.
+// buffers across nodes and trees — at most two buffers per split of a batch
+// live at once — and supports the parent-minus-sibling subtraction trick.
+// Acquire/Release are guarded by a spin mutex so ASYNC worker threads can
+// allocate node histograms concurrently.
 //
 // Ownership: Acquire hands out a buffer with unspecified contents and never
 // writes it. Whoever produces a node's histogram writes every slot, inside
@@ -25,7 +25,9 @@
 
 namespace harp {
 
-class ThreadPool;
+class GrowQueue;
+struct Candidate;
+struct TrainParams;
 
 class HistogramPool {
  public:
@@ -75,14 +77,23 @@ void AddHistogram(GHPair* dst, const GHPair* src, size_t n);
 // followed by AddHistogram; unlike a plain copy it turns -0.0 into +0.0.
 void AssignHistogram(GHPair* dst, const GHPair* src, size_t n);
 
-// out[i] = parent[i] - sibling[i] over `n` slots (the subtraction trick:
-// the larger child's histogram for free).
-void SubtractHistogram(GHPair* out, const GHPair* parent,
-                       const GHPair* sibling, size_t n);
-
-// hist[i] = hist[i] - sibling[i] over `n` slots: SubtractHistogram with the
-// parent's buffer turned into the larger child's in place.
+// hist[i] = hist[i] - sibling[i] over `n` slots (the subtraction trick):
+// the parent's buffer, transferred to the larger child, becomes the larger
+// child's histogram in place.
 void SubtractHistogramInPlace(GHPair* hist, const GHPair* sibling, size_t n);
+
+// The retention rule of subtraction-aware growth, shared by the single-node
+// and sharded builders and run before each batch is popped: with
+// use_hist_subtraction, only the first min(K, splits_left) queued
+// candidates in pop order (the next batch's parents) keep their
+// histograms; every other queued histogram is released (all of them
+// without subtraction). A split whose parent kept one builds its smaller
+// child and transfers the parent's buffer to the larger, any other split
+// builds both, so the pool never holds more than two buffers per split of
+// a batch, the peak of building both children. `scratch` is reused storage.
+void RetainNextParents(const GrowQueue& queue, const TrainParams& params,
+                       int64_t splits_left, std::vector<Candidate>* scratch,
+                       HistogramPool* hists);
 
 // Zeroes `n` slots.
 void ClearHistogram(GHPair* hist, size_t n);

@@ -73,11 +73,10 @@ struct TrainParams {
 
   // --- memory optimizations (Section IV-E) ---
   bool use_membuf = true;           // (rowid, g, h) node buffers, Fig. 7
-  // Parent - sibling trick for f64 histograms (ablatable). Quantized
-  // histograms (quantize_hist) subtract exactly, so sharded training
-  // (DistributedGbdt) always subtracts them and this flag gates only its
-  // f64 histograms; single-node training honours it for both.
-  bool use_hist_subtraction = false;
+  // Parent - sibling trick: build the smaller child, derive the larger in
+  // the parent's buffer, at the build-both histogram pool peak. Honoured by
+  // every path (ASYNC: its DP ramp-up only). Exact for quantized cells.
+  bool use_hist_subtraction = true;
   // Quantized histograms (core/quantize.h): per-round fixed-point packing
   // of (g, h) into one int32 and int64 accumulator cells, halving the hot
   // loop's gradient-read and GHSum-write traffic. Off = the f64 accuracy

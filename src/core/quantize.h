@@ -23,9 +23,10 @@
 // Power-of-two scales make dequantization EXACT: every integer sum times
 // 2^-k is exactly representable in double (sums are < 2^53), so
 // f64 subtraction of two dequantized histograms equals the quantized-
-// domain subtraction — the existing parent-minus-sibling SubtractHistogram
-// is reused unchanged, and forced-scalar vs forced-AVX2 runs stay
-// bit-identical (integer accumulation is order-independent).
+// domain subtraction — the existing parent-minus-sibling
+// SubtractHistogramInPlace is reused unchanged, and forced-scalar vs
+// forced-AVX2 runs stay bit-identical (integer accumulation is
+// order-independent).
 //
 // Rounding is round-to-nearest-even (scalar std::nearbyintf matches the
 // AVX2 cvtps conversion under the default MXCSR mode) or, optionally,

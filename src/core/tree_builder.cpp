@@ -32,16 +32,9 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       hists_(matrix.TotalBins()),
       partitioner_(matrix.num_rows(), params.use_membuf),
       queue_(params.grow_policy),
-      use_subtraction_(params.use_hist_subtraction &&
-                       params.mode != ParallelMode::kASYNC),
       use_quant_(params.quantize_hist &&
                  params.mode != ParallelMode::kASYNC),
       simd_level_(ResolveSimdLevel(params.simd)) {
-  if (params.use_hist_subtraction && params.mode == ParallelMode::kASYNC) {
-    HARP_LOG(Warning) << "histogram subtraction is not supported in ASYNC "
-                         "mode (node tasks build children directly); "
-                         "ignoring use_hist_subtraction";
-  }
   if (params.quantize_hist && params.mode == ParallelMode::kASYNC) {
     HARP_LOG(Warning) << "quantized histograms are not supported in ASYNC "
                          "mode (serial node tasks use the f64 path); "
@@ -66,7 +59,8 @@ size_t HarpTreeBuilder::ScratchCapacity() const {
          found_.capacity() + find_partial_.capacity() +
          find_hist_.capacity() + find_sums_.capacity() + slots_cap_ +
          node_remaining_cap_ + build_pos_.capacity() +
-         build_child_pos_.capacity() + sub_of_build_.capacity();
+         build_child_pos_.capacity() + sub_of_build_.capacity() +
+         queued_.capacity();
 }
 
 ParallelMode HarpTreeBuilder::ChooseMode(size_t batch_nodes,
@@ -171,43 +165,35 @@ void HarpTreeBuilder::FindSplitsBatch(const RegTree& tree,
 }
 
 void HarpTreeBuilder::PlanBuild(RegTree& tree) {
-  // Decide which children get a direct build. With subtraction, only the
-  // smaller sibling is scanned; the larger one is parent - sibling.
+  // A pair whose parent kept its histogram (RetainNextParents) scans only
+  // the smaller child; the larger one takes over the parent's buffer and
+  // becomes parent - sibling in place. Any other pair builds both.
   build_list_.clear();
   build_child_pos_.clear();
   subtract_list_.clear();
   sub_of_build_.clear();
   for (size_t i = 0; i < batch_.size(); ++i) {
-    const int left = children_[2 * i];
-    const int right = children_[2 * i + 1];
-    if (!use_subtraction_) {
-      build_list_.push_back(left);
-      build_child_pos_.push_back(static_cast<uint32_t>(2 * i));
-      sub_of_build_.push_back(-1);
-      build_list_.push_back(right);
-      build_child_pos_.push_back(static_cast<uint32_t>(2 * i + 1));
-      sub_of_build_.push_back(-1);
+    const uint32_t left_pos = static_cast<uint32_t>(2 * i);
+    const int parent = batch_[i].node_id;
+    if (!hists_.Has(parent)) {
+      for (const uint32_t pos : {left_pos, left_pos + 1}) {
+        hists_.Acquire(children_[pos]);
+        build_list_.push_back(children_[pos]);
+        build_child_pos_.push_back(pos);
+        sub_of_build_.push_back(-1);
+      }
       continue;
     }
-    const bool left_smaller =
-        tree.node(left).num_rows <= tree.node(right).num_rows;
-    const int small = left_smaller ? left : right;
-    const int large = left_smaller ? right : left;
-    build_list_.push_back(small);
-    build_child_pos_.push_back(
-        static_cast<uint32_t>(2 * i + (left_smaller ? 0 : 1)));
+    const bool left_smaller = tree.node(children_[left_pos]).num_rows <=
+                              tree.node(children_[left_pos + 1]).num_rows;
+    const uint32_t small_pos = left_smaller ? left_pos : left_pos + 1;
+    const uint32_t large_pos = left_smaller ? left_pos + 1 : left_pos;
+    build_list_.push_back(children_[small_pos]);
+    build_child_pos_.push_back(small_pos);
     sub_of_build_.push_back(static_cast<int32_t>(subtract_list_.size()));
-    subtract_list_.push_back(SubtractJob{
-        large, small, batch_[i].node_id,
-        static_cast<uint32_t>(2 * i + (left_smaller ? 1 : 0)), nullptr,
-        nullptr, nullptr});
-  }
-
-  for (int child : children_) hists_.Acquire(child);
-  for (SubtractJob& job : subtract_list_) {
-    job.child_h = hists_.Get(job.child);
-    job.parent_h = hists_.Get(job.parent);
-    job.sibling_h = hists_.Get(job.sibling);
+    subtract_list_.push_back(
+        SubtractJob{large_pos, hists_.Transfer(parent, children_[large_pos]),
+                    hists_.Acquire(children_[small_pos])});
   }
 
   build_rows_ = 0;
@@ -226,6 +212,7 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
   while (!queue.Empty() && leaves < max_leaves && !stop()) {
     const size_t cap_before = ScratchCapacity();
     const int64_t remaining = max_leaves - leaves;
+    RetainNextParents(queue, params_, remaining, &queued_, &hists_);
     queue.PopBatchInto(
         params_.EffectiveTopK(),
         static_cast<int>(std::min<int64_t>(remaining, 1 << 20)), &batch_);
@@ -239,12 +226,8 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
     }
 
     for (const Candidate& cand : found_) {
-      const bool eligible =
-          cand.split.IsValid() && cand.depth < max_depth;
-      if (eligible) {
+      if (cand.split.IsValid() && cand.depth < max_depth) {
         queue.Push(cand);
-        // Without subtraction the histogram is only needed for FindSplit.
-        if (!use_subtraction_) hists_.Release(cand.node_id);
       } else {
         hists_.Release(cand.node_id);
       }
@@ -321,7 +304,6 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
                           params_.MaxDepth() > 0;
     if (eligible) {
       queue_.Push(found_[0]);
-      if (!use_subtraction_) hists_.Release(0);
     } else {
       hists_.Release(0);
     }

@@ -96,10 +96,10 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // task-granularity threshold (end), MP in between.
   ParallelMode ChooseMode(size_t batch_nodes, int64_t batch_rows) const;
 
-  // Batch-synchronous growth loop: one FusedStep per TopK batch; stops
-  // early when `stop` returns true (used by ASYNC's DP ramp-up phase).
-  // Returns via out-params so the async phase can continue from the same
-  // state.
+  // Batch-synchronous growth loop: one FusedStep per TopK batch, each
+  // preceded by RetainNextParents; stops early when `stop` returns true
+  // (used by ASYNC's DP ramp-up phase). Returns via out-params so the
+  // async phase can continue from the same state.
   void SyncGrow(RegTree& tree, GrowQueue& queue, int64_t& leaves,
                 TrainStats* stats, const std::function<bool()>& stop);
 
@@ -111,8 +111,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // (serial).
   void StageApply(RegTree& tree);
   // Decides which children get a direct build vs. parent - sibling
-  // subtraction, acquires child histograms, picks the batch's DP/MP mode
-  // (fills build_list_ / subtract_list_ / plan_mode_).
+  // subtraction in the parent's transferred buffer, acquires the built
+  // children's histograms, picks the batch's DP/MP mode (fills
+  // build_list_ / subtract_list_ / plan_mode_).
   void PlanBuild(RegTree& tree);
   // FindSplit for nodes whose histograms are live, outside any grow step
   // (the root; fills found_).
@@ -143,8 +144,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   void RunOverlapTask(const BuildContext& ctx, int32_t id);
   void PushTask(int32_t id);
   void PushFinds(uint32_t child_pos);
-  // Final barrier epilogue: merge find partials, release parent
-  // histograms, stamp the step-end timestamp.
+  // Final barrier epilogue: merge find partials, stamp the step-end
+  // timestamp.
   void FinishStep(RegTree& tree);
 
   // Sets leaf_value on every leaf from its gradient sum.
@@ -163,7 +164,6 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   HistBuilderDP dp_;
   HistBuilderMP mp_;
   GrowQueue queue_;
-  bool use_subtraction_;  // forced off for ASYNC (see .cpp)
   bool use_quant_;        // forced off for ASYNC (see .cpp)
   SimdLevel simd_level_;  // resolved once from params.simd
   // Per-tree quantization state (scales + packed rows); valid only while
@@ -178,15 +178,12 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   std::vector<int> children_;
   std::vector<int> build_list_;
   struct SubtractJob {
-    int child;            // large child: parent - sibling
-    int sibling;          // small child (directly built)
-    int parent;
-    uint32_t child_pos;   // index of `child` in children_
-    GHPair* child_h;      // resolved in PlanBuild, after Acquire
-    GHPair* parent_h;
-    GHPair* sibling_h;
+    uint32_t child_pos;        // index of the large child in children_
+    GHPair* child_h;           // the parent's buffer: parent - sibling
+    const GHPair* sibling_h;   // the directly built small child
   };
   std::vector<SubtractJob> subtract_list_;
+  std::vector<Candidate> queued_;  // RetainNextParents scratch
   std::vector<Candidate> found_;
   int64_t build_rows_ = 0;
   ParallelMode plan_mode_ = ParallelMode::kDP;

@@ -40,7 +40,6 @@ class ShardWorker final : public TreeBuilderBase {
         pool_(pool),
         use_quant_(params.quantize_hist),
         sparse_(params.comm_compress == "sparse"),
-        subtract_(use_quant_ || params.use_hist_subtraction),
         simd_level_(ResolveSimdLevel(params.simd)) {}
 
   // Leaf scatter on the local shard.
@@ -140,24 +139,6 @@ class ShardWorker final : public TreeBuilderBase {
         });
   }
 
-  // With subtraction, keeps the global histograms of the next batch's
-  // parents, the first min(K, splits left) queued candidates in pop order,
-  // and releases every other queued histogram. The pool then never holds
-  // more than two histograms per split of a batch, the peak of building
-  // both children; a parent popped later than the batch after its push
-  // builds both. Every rank holds the same queue, so all agree on which
-  // parents kept theirs.
-  void KeepNextParents(const GrowQueue& queue, int64_t splits_left) {
-    const size_t keep =
-        subtract_ ? static_cast<size_t>(std::min<int64_t>(
-                        params_.EffectiveTopK(), splits_left))
-                  : 0;
-    queue.SortedInto(&queued_);
-    for (size_t i = keep; i < queued_.size(); ++i) {
-      if (hists_.Has(queued_[i].node_id)) hists_.Release(queued_[i].node_id);
-    }
-  }
-
   Candidate FindSplitFor(int node_id, int depth, const GHPair& sum,
                          const GHPair* hist) {
     Candidate cand;
@@ -197,10 +178,13 @@ class ShardWorker final : public TreeBuilderBase {
       } else {
         hists_.Release(0);
       }
-      KeepNextParents(queue, max_leaves - leaves);
     }
 
     while (!queue.Empty() && leaves < max_leaves) {
+      // Every rank holds the same queue, so all agree on which parents
+      // keep their global histograms.
+      RetainNextParents(queue, params_, max_leaves - leaves, &queued_,
+                        &hists_);
       const std::vector<Candidate> batch = queue.PopBatch(
           params_.EffectiveTopK(),
           static_cast<int>(std::min<int64_t>(max_leaves - leaves, 1 << 20)));
@@ -241,7 +225,6 @@ class ShardWorker final : public TreeBuilderBase {
           hists_.Release(child);
         }
       }
-      KeepNextParents(queue, max_leaves - leaves);
     }
 
     for (int id = 0; id < tree.num_nodes(); ++id) {
@@ -262,12 +245,6 @@ class ShardWorker final : public TreeBuilderBase {
   HistBuilderDP dp_;
   const bool use_quant_;
   const bool sparse_;
-  // Derive the larger child of each pair by subtraction. Always on for
-  // quantized histograms, whose global cells are exact multiples of the
-  // round's power-of-two step, so parent - small is exact and the model
-  // is the one a direct build of both children gives. f64 cells opt in
-  // through use_hist_subtraction, as in single-node training.
-  const bool subtract_;
   const SimdLevel simd_level_;
   QuantRound quant_round_;
   std::vector<GHPair*> hist_ptrs_;

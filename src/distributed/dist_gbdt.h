@@ -10,8 +10,7 @@
 // split decision — no split broadcast needed. When a split's parent kept
 // its global histogram, only the smaller child (by global row count) is
 // built and exchanged, and every worker derives the sibling as parent -
-// smaller: always for quantized histograms, where the subtraction is
-// exact, and for f64 histograms when use_hist_subtraction is set. The
+// smaller when use_hist_subtraction is set (exact for quantized cells). The
 // returned model is bitwise identical on every worker, for both exchange
 // encodings, and for both transport backends.
 #pragma once

@@ -662,9 +662,9 @@ INSTANTIATE_TEST_SUITE_P(DpMpSync, QuantDeterminism,
 
 // Quantized cells dequantize to exact multiples of the round's power-of-
 // two step, so parent - sibling equals the directly built histogram bit
-// for bit: the subtraction trick cannot change a quantized model. The
-// sharded trainer subtracts quantized histograms unconditionally on this
-// property.
+// for bit: the subtraction trick cannot change a quantized model, whichever
+// pairs the retention rule leaves to build both children (leafwise and
+// depthwise batches differ from TopK's in which parents keep theirs).
 TEST(QuantSubtraction, ModelIdenticalWithAndWithoutSubtraction) {
   SyntheticSpec sparse_spec;
   sparse_spec.rows = 1500;
@@ -682,18 +682,24 @@ TEST(QuantSubtraction, ModelIdenticalWithAndWithoutSubtraction) {
     for (const ParallelMode mode :
          {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
       for (const int threads : {1, 4}) {
-        TrainParams p = QuantParams();
-        p.num_trees = 4;
-        p.mode = mode;
-        p.num_threads = threads;
-        p.use_hist_subtraction = false;
-        GbdtTrainer direct(p);
-        p.use_hist_subtraction = true;
-        GbdtTrainer subtracted(p);
-        EXPECT_EQ(SerializeModel(direct.Train(*data)),
-                  SerializeModel(subtracted.Train(*data)))
-            << ToString(mode) << " threads=" << threads
-            << " sparse=" << (data == &sparse_data);
+        for (const GrowPolicy policy :
+             {GrowPolicy::kTopK, GrowPolicy::kLeafwise,
+              GrowPolicy::kDepthwise}) {
+          TrainParams p = QuantParams();
+          p.num_trees = 4;
+          p.mode = mode;
+          p.num_threads = threads;
+          p.grow_policy = policy;
+          p.use_hist_subtraction = false;
+          GbdtTrainer direct(p);
+          p.use_hist_subtraction = true;
+          GbdtTrainer subtracted(p);
+          EXPECT_EQ(SerializeModel(direct.Train(*data)),
+                    SerializeModel(subtracted.Train(*data)))
+              << ToString(mode) << " threads=" << threads
+              << " policy=" << ToString(policy)
+              << " sparse=" << (data == &sparse_data);
+        }
       }
     }
   }

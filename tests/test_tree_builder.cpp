@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "core/gbdt.h"
 #include "core/tree_builder.h"
@@ -84,6 +85,7 @@ TEST_P(DeterministicModes, SameTreeAsSerialReference) {
     // Reference: serial DP, no blocks, no tricks.
     TrainParams ref = BaseParams(policy, c.tree_size);
     ref.mode = ParallelMode::kDP;
+    ref.use_hist_subtraction = false;
     const RegTree expected = BuildWith(env, ref, 1);
     ASSERT_TRUE(expected.CheckValid());
     ASSERT_GT(expected.NumLeaves(), 2);
@@ -125,6 +127,49 @@ INSTANTIATE_TEST_SUITE_P(
         ConfigCase{ParallelMode::kSYNC, 4, 2, 256, true, true, 1, 6}),
     ConfigName);
 
+// ---------- subtraction: histogram pool bound ----------
+
+// A split whose parent kept its histogram builds only the smaller child
+// and hands the parent's buffer to the larger one; only the next batch's
+// parents keep theirs. The pool then never holds more buffers than
+// building both children, while fewer rows are scanned. The trees outgrow
+// K, so TopK's queue holds more candidates than the next batch.
+using PeakCase = std::tuple<ParallelMode, int, GrowPolicy>;
+
+class SubtractionPeak : public ::testing::TestWithParam<PeakCase> {};
+
+TEST_P(SubtractionPeak, NoMoreBuffersThanBuildBothAndFewerUpdates) {
+  const Env env = MakeEnv(6000, 9, 71);
+  const auto [mode, threads, policy] = GetParam();
+  TrainParams p = BaseParams(policy, 8);
+  p.topk = 32;
+  p.mode = mode;
+  p.use_hist_subtraction = false;
+  TrainStats both;
+  const RegTree both_tree = BuildWith(env, p, threads, &both);
+  p.use_hist_subtraction = true;
+  TrainStats sub;
+  const RegTree sub_tree = BuildWith(env, p, threads, &sub);
+  ASSERT_TRUE(sub_tree.CheckValid());
+  ASSERT_GT(both_tree.NumLeaves(), 2 * p.topk);
+  EXPECT_LE(sub.hist_peak_bytes, both.hist_peak_bytes);
+  EXPECT_LT(sub.hist_updates, both.hist_updates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesThreadsPolicies, SubtractionPeak,
+    ::testing::Combine(::testing::Values(ParallelMode::kDP, ParallelMode::kMP,
+                                         ParallelMode::kSYNC),
+                       ::testing::Values(1, 4),
+                       ::testing::Values(GrowPolicy::kTopK,
+                                         GrowPolicy::kLeafwise,
+                                         GrowPolicy::kDepthwise)),
+    [](const ::testing::TestParamInfo<PeakCase>& info) {
+      return ToString(std::get<0>(info.param)) + "_t" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             ToString(std::get<2>(info.param));
+    });
+
 // ---------- ASYNC ----------
 
 class AsyncThreads : public ::testing::TestWithParam<int> {};
@@ -161,6 +206,39 @@ TEST(Async, SingleThreadMatchesLeafwiseReference) {
   p.mode = ParallelMode::kASYNC;
   const RegTree actual = BuildWith(env, p, 1);
   EXPECT_TRUE(TreesEqual(expected, actual));
+}
+
+// ASYNC subtracts by default in its DP ramp-up and releases what that phase
+// retained at the handoff, since node tasks build both children. With one
+// thread there is no ramp-up: the root's histogram is the only one retained,
+// and afterwards the pool holds just the two children of one node task, as
+// the build-both run does. With T threads the ramp-up splits fewer than T
+// parents per batch and each node task holds two buffers, so the pool never
+// exceeds 2T buffers (the async phase's schedule, and so its exact peak,
+// varies from run to run).
+TEST(Async, DefaultSubtractionReleasesRetainedAtHandoff) {
+  const Env env = MakeEnv(6000, 9, 73);
+  const size_t hist_bytes = env.matrix.TotalBins() * sizeof(GHPair);
+  for (const int threads : {1, 4}) {
+    TrainParams p = BaseParams(GrowPolicy::kTopK, 6);
+    p.mode = ParallelMode::kASYNC;
+    p.topk = 8;
+    ASSERT_TRUE(p.use_hist_subtraction);
+    TrainStats sub;
+    const RegTree tree = BuildWith(env, p, threads, &sub);
+    EXPECT_TRUE(tree.CheckValid());
+    EXPECT_GT(tree.NumLeaves(), 8);
+    EXPECT_LE(sub.hist_peak_bytes,
+              2 * static_cast<size_t>(threads) * hist_bytes)
+        << "threads=" << threads;
+    if (threads == 1) {
+      p.use_hist_subtraction = false;
+      TrainStats both;
+      BuildWith(env, p, threads, &both);
+      EXPECT_EQ(both.hist_peak_bytes, 2 * hist_bytes);
+      EXPECT_LE(sub.hist_peak_bytes, both.hist_peak_bytes);
+    }
+  }
 }
 
 TEST(Async, RecordsSpinLockActivity) {
