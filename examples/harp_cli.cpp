@@ -51,20 +51,29 @@
 //                    (--data train.csv [--format csv|libsvm] |
 //                     --synth ROWS,FEATURES,DENSITY,SKEW,SEED)
 //                    [--workers N] [--rank R --world W --port P]
-//                    [--compress dense|sparse] [--quantize]
-//                    [--no-subtraction] [--trees 20] [--tree-size 6]
-//                    [--k 8] [--threads 1] [--model out.model]
-//                    Sharded training over the collective layer. Default:
-//                    N in-process workers (threads). With --rank/--world/
-//                    --port, this process is ONE rank of a multi-process
-//                    run over loopback TCP (rank 0 must be listening on
-//                    --port; launch all W ranks with identical data and
-//                    params). Every rank trains the bitwise-identical
-//                    model and saves it to --model, so model files from
-//                    different ranks/backends/encodings can be compared
-//                    with cmp(1). --compress sparse ships compressed
-//                    SparseHistogram frames (with 8-byte quantized cells
-//                    under --quantize); dense is the f64 oracle. --synth
+//                    [--compress dense|sparse] [--threads 1]
+//                    [--model out.model] [train's training flags]
+//                    Sharded training over the collective layer, with
+//                    the single-node tree builder on every rank. The
+//                    training flags (--objective, --alpha, --ndcg-k,
+//                    --subsample, --colsample, --quantize,
+//                    --no-subtraction, --grow, ...) are parsed as for
+//                    train, with defaults --trees 20 --tree-size 6 --k 8;
+//                    --mode is ignored (ranks always run DP) and
+//                    --threads sizes each rank's pool. Grouped (qid:)
+//                    data is sharded on query boundaries, so lambdarank
+//                    trains too. Prints the same report as train (rank
+//                    0's). Default: N in-process workers (threads).
+//                    With --rank/--world/--port, this process is ONE
+//                    rank of a multi-process run over loopback TCP (rank
+//                    0 must be listening on --port; launch all W ranks
+//                    with identical data and params). Every rank trains
+//                    the bitwise-identical model and saves it to
+//                    --model, so model files from different ranks/
+//                    backends/encodings can be compared with cmp(1).
+//                    --compress sparse ships compressed SparseHistogram
+//                    frames (with 8-byte quantized cells under
+//                    --quantize); dense is the f64 oracle. --synth
 //                    generates the sparse LibSVM-like synthetic in every
 //                    process deterministically (no file needed).
 //   harp_cli serve   --data test.csv --model in.model [--threads N]
@@ -115,8 +124,9 @@ int Usage() {
                "dist-train> [options]\n"
                "  dist-train: (--data F | --synth R,F,DENS,SKEW,SEED)\n"
                "           [--workers N | --rank R --world W --port P]\n"
-               "           [--compress dense|sparse] [--quantize]\n"
-               "           [--trees N] [--tree-size D] [--k K] [--model F]\n"
+               "           [--compress dense|sparse] [--model F]\n"
+               "           [train's training flags, e.g. --quantize\n"
+               "           --subsample 0.8 --colsample 0.7 --objective]\n"
                "  predict: --data F --model F [--output F] [--raw]\n"
                "           [--threads N]  (--raw predicts on raw floats\n"
                "           instead of binning first; both report rows/sec)\n"
@@ -174,6 +184,71 @@ bool LoadData(const Args& args, const std::string& path, Dataset* out,
   return ok;
 }
 
+// The training flags shared by train and dist-train. Flags that are absent
+// keep the value already in *p, so each command sets its own defaults
+// first. Prints the offending flag and returns false on a bad value.
+bool ParseTrainParams(const Args& args, TrainParams* p) {
+  p->num_trees = args.GetInt("trees", p->num_trees);
+  p->tree_size = args.GetInt("tree-size", p->tree_size);
+  p->learning_rate = args.GetDouble("eta", p->learning_rate);
+  p->reg_lambda = args.GetDouble("lambda", p->reg_lambda);
+  p->min_split_loss = args.GetDouble("gamma", p->min_split_loss);
+  p->min_child_weight =
+      args.GetDouble("min-child-weight", p->min_child_weight);
+  p->topk = args.GetInt("k", p->topk);
+  p->num_threads = args.GetInt("threads", p->num_threads);
+  p->subsample = args.GetDouble("subsample", p->subsample);
+  p->colsample_bytree = args.GetDouble("colsample", p->colsample_bytree);
+  p->use_membuf = !args.Has("membuf-off");
+  p->use_hist_subtraction = !args.Has("no-subtraction");
+  p->quantize_hist = args.Has("quantize");
+  p->quant_stochastic = args.Has("quant-stochastic");
+  p->simd = args.Get("simd", p->simd);
+  p->stream_prefetch = !args.Has("prefetch-off");
+  p->prefetch_window_bytes =
+      static_cast<int64_t>(args.GetInt("prefetch-window-mb", 16)) << 20;
+  if (!ParseGrowPolicy(args.Get("grow", ToString(p->grow_policy)),
+                       &p->grow_policy)) {
+    std::fprintf(stderr, "bad --grow\n");
+    return false;
+  }
+  if (!ParseParallelMode(args.Get("mode", ToString(p->mode)), &p->mode)) {
+    std::fprintf(stderr, "bad --mode\n");
+    return false;
+  }
+  if (!ParseObjectiveKind(args.Get("objective", ToString(p->objective)),
+                          &p->objective)) {
+    std::fprintf(stderr, "bad --objective\n");
+    return false;
+  }
+  p->quantile_alpha = args.GetDouble("alpha", p->quantile_alpha);
+  p->max_delta_step = args.GetDouble("max-delta-step", p->max_delta_step);
+  p->ndcg_k = args.GetInt("ndcg-k", p->ndcg_k);
+  p->eval_metric = args.Get("metric", p->eval_metric);
+  return true;
+}
+
+// Rejects training labels the objective cannot use, with a message
+// instead of a failed CHECK inside the trainer.
+bool CheckLabels(const TrainParams& p, const std::vector<float>& labels,
+                 bool has_groups) {
+  if (p.objective == ObjectiveKind::kPoisson) {
+    for (float y : labels) {
+      if (y < 0.0f) {
+        std::fprintf(stderr,
+                     "poisson objective requires non-negative labels\n");
+        return false;
+      }
+    }
+  }
+  if (p.objective == ObjectiveKind::kLambdaRank && !has_groups) {
+    std::fprintf(stderr,
+                 "lambdarank requires qid: columns (libsvm format)\n");
+    return false;
+  }
+  return true;
+}
+
 int CmdTrain(const Args& args) {
   Dataset train;
   BinnedMatrix binned;
@@ -228,56 +303,9 @@ int CmdTrain(const Args& args) {
   }
 
   TrainParams p;
-  p.num_trees = args.GetInt("trees", 100);
-  p.tree_size = args.GetInt("tree-size", 8);
-  p.learning_rate = args.GetDouble("eta", 0.1);
-  p.reg_lambda = args.GetDouble("lambda", 1.0);
-  p.min_split_loss = args.GetDouble("gamma", 1.0);
-  p.min_child_weight = args.GetDouble("min-child-weight", 1.0);
-  p.topk = args.GetInt("k", 32);
-  p.num_threads = args.GetInt("threads", 0);
-  p.subsample = args.GetDouble("subsample", 1.0);
-  p.colsample_bytree = args.GetDouble("colsample", 1.0);
-  p.use_membuf = !args.Has("membuf-off");
-  p.use_hist_subtraction = !args.Has("no-subtraction");
-  p.quantize_hist = args.Has("quantize");
-  p.quant_stochastic = args.Has("quant-stochastic");
-  p.simd = args.Get("simd", "auto");
-  p.stream_prefetch = !args.Has("prefetch-off");
-  p.prefetch_window_bytes =
-      static_cast<int64_t>(args.GetInt("prefetch-window-mb", 16)) << 20;
-  if (!ParseGrowPolicy(args.Get("grow", "topk"), &p.grow_policy)) {
-    std::fprintf(stderr, "bad --grow\n");
-    return 1;
-  }
-  if (!ParseParallelMode(args.Get("mode", "SYNC"), &p.mode)) {
-    std::fprintf(stderr, "bad --mode\n");
-    return 1;
-  }
-  if (!ParseObjectiveKind(args.Get("objective", "logistic"), &p.objective)) {
-    std::fprintf(stderr, "bad --objective\n");
-    return 1;
-  }
-  p.quantile_alpha = args.GetDouble("alpha", 0.5);
-  p.max_delta_step = args.GetDouble("max-delta-step", 0.7);
-  p.ndcg_k = args.GetInt("ndcg-k", 10);
-  p.eval_metric = args.Get("metric", "");
-  const std::vector<float>& train_labels =
-      use_binned ? binned_labels : train.labels();
-  const bool train_has_groups =
-      use_binned ? binned.has_groups() : train.has_groups();
-  if (p.objective == ObjectiveKind::kPoisson) {
-    for (float y : train_labels) {
-      if (y < 0.0f) {
-        std::fprintf(stderr,
-                     "poisson objective requires non-negative labels\n");
-        return 1;
-      }
-    }
-  }
-  if (p.objective == ObjectiveKind::kLambdaRank && !train_has_groups) {
-    std::fprintf(stderr,
-                 "lambdarank requires qid: columns (libsvm format)\n");
+  if (!ParseTrainParams(args, &p)) return 1;
+  if (!CheckLabels(p, use_binned ? binned_labels : train.labels(),
+                   use_binned ? binned.has_groups() : train.has_groups())) {
     return 1;
   }
 
@@ -570,26 +598,6 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-// Shared by dist-train's two launch modes: the subset of TrainParams the
-// distributed trainer honours.
-TrainParams DistParams(const Args& args) {
-  TrainParams p;
-  p.num_trees = args.GetInt("trees", 20);
-  p.tree_size = args.GetInt("tree-size", 6);
-  p.learning_rate = args.GetDouble("eta", 0.1);
-  p.reg_lambda = args.GetDouble("lambda", 1.0);
-  p.min_split_loss = args.GetDouble("gamma", 1.0);
-  p.min_child_weight = args.GetDouble("min-child-weight", 1.0);
-  p.topk = args.GetInt("k", 8);
-  p.grow_policy = GrowPolicy::kTopK;
-  p.use_hist_subtraction = !args.Has("no-subtraction");
-  p.quantize_hist = args.Has("quantize");
-  p.quant_stochastic = args.Has("quant-stochastic");
-  p.comm_compress = args.Get("compress", "dense");
-  p.simd = args.Get("simd", "auto");
-  return p;
-}
-
 // --synth ROWS,FEATURES,DENSITY,SKEW,SEED: the sparse LibSVM-like
 // synthetic, generated deterministically in every process.
 bool ParseSynthSpec(const std::string& text, SyntheticSpec* spec) {
@@ -656,10 +664,20 @@ int CmdDistTrain(const Args& args) {
   std::printf("loaded %u rows x %u features (S=%.2f)\n", data.num_rows(),
               data.num_features(), data.Sparseness());
 
-  const TrainParams p = DistParams(args);
+  // dist-train's own defaults; the flags are parsed as train's.
+  TrainParams p;
+  p.num_trees = 20;
+  p.tree_size = 6;
+  p.topk = 8;
+  if (!ParseTrainParams(args, &p) ||
+      !CheckLabels(p, data.labels(), data.has_groups())) {
+    return 1;
+  }
+  p.comm_compress = args.Get("compress", "dense");
   const int worker_threads = std::max(1, args.GetInt("threads", 1));
   const std::string model_path = args.Get("model", "");
   GbdtModel model;
+  TrainStats stats;
 
   if (args.values.count("rank") > 0) {
     // One rank of a multi-process run over loopback TCP.
@@ -674,7 +692,8 @@ int CmdDistTrain(const Args& args) {
       const auto transport = SocketTransport::Create(rank, world, port);
       Communicator comm(*transport);
       const Stopwatch watch;
-      model = DistributedGbdt::TrainShard(data, comm, p, worker_threads);
+      model =
+          DistributedGbdt::TrainShard(data, comm, p, worker_threads, &stats);
       std::printf("rank %d/%d: trained %d trees in %.3fs (%s exchange)\n",
                   rank, world, p.num_trees, watch.ElapsedSec(),
                   p.comm_compress.c_str());
@@ -696,7 +715,9 @@ int CmdDistTrain(const Args& args) {
       PrintCommStats(prefix.c_str(), result.per_rank[r]);
     }
     model = std::move(result.model);
+    stats = std::move(result.stats);
   }
+  std::printf("%s", stats.Report().c_str());
 
   if (!model_path.empty()) {
     std::string error;

@@ -48,30 +48,36 @@ Candidate GrowQueue::PopTop() {
   return top;
 }
 
-void GrowQueue::PopBatchInto(int k, int max_batch,
-                             std::vector<Candidate>* out) {
-  out->clear();
-  if (heap_.empty() || max_batch <= 0) return;
-
-  int budget = max_batch;
+size_t GrowQueue::NextBatchSize(int k, int64_t max_batch) const {
+  if (max_batch <= 0) return 0;
+  int64_t budget = std::min<int64_t>(max_batch, heap_.size());
   switch (policy_) {
     case GrowPolicy::kLeafwise:
-      budget = std::min(budget, 1);
+      budget = std::min<int64_t>(budget, 1);
       break;
     case GrowPolicy::kTopK:
-      budget = std::min(budget, std::max(1, k));
+      budget = std::min<int64_t>(budget, std::max(1, k));
       break;
-    case GrowPolicy::kDepthwise:
-      break;  // bounded by the level size below
-  }
-
-  const int level = heap_.front().depth;
-  while (!heap_.empty() && static_cast<int>(out->size()) < budget) {
-    if (policy_ == GrowPolicy::kDepthwise && heap_.front().depth != level) {
-      break;  // only drain one level per batch
+    case GrowPolicy::kDepthwise: {
+      if (heap_.empty()) break;
+      // The shallowest open level, whole: Before() pops it first.
+      const int level = heap_.front().depth;
+      budget = std::min<int64_t>(
+          budget, std::count_if(heap_.begin(), heap_.end(),
+                                [level](const Candidate& c) {
+                                  return c.depth == level;
+                                }));
+      break;
     }
-    out->push_back(PopTop());
   }
+  return static_cast<size_t>(budget);
+}
+
+void GrowQueue::PopBatchInto(int k, int64_t max_batch,
+                             std::vector<Candidate>* out) {
+  out->clear();
+  const size_t size = NextBatchSize(k, max_batch);
+  for (size_t i = 0; i < size; ++i) out->push_back(PopTop());
 }
 
 void GrowQueue::SortedInto(std::vector<Candidate>* out) const {
@@ -82,7 +88,7 @@ void GrowQueue::SortedInto(std::vector<Candidate>* out) const {
             });
 }
 
-std::vector<Candidate> GrowQueue::PopBatch(int k, int max_batch) {
+std::vector<Candidate> GrowQueue::PopBatch(int k, int64_t max_batch) {
   std::vector<Candidate> batch;
   PopBatchInto(k, max_batch, &batch);
   return batch;

@@ -30,14 +30,20 @@ class GrowQueue {
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
 
-  // Pops the next batch per the policy; `k` is the TopK budget (ignored by
-  // depthwise/leafwise). `max_batch` additionally caps the batch (the
-  // remaining leaf budget). Never returns an empty vector unless empty.
-  std::vector<Candidate> PopBatch(int k, int max_batch);
+  // Size of the batch the next pop returns: the policy's budget (1 for
+  // leafwise, `k` for TopK, the whole shallowest level for depthwise),
+  // capped by `max_batch` (the remaining leaf budget). The one batch-size
+  // rule, shared by the pops and by histogram retention
+  // (RetainNextParents keeps exactly the next batch's parents).
+  size_t NextBatchSize(int k, int64_t max_batch) const;
+
+  // Pops the next batch per the policy (NextBatchSize candidates in
+  // SortedInto order). Never returns an empty vector unless empty.
+  std::vector<Candidate> PopBatch(int k, int64_t max_batch);
 
   // Same pop rule, appending into `out` (cleared first) so steady-state
   // growth can reuse one batch vector instead of allocating per step.
-  void PopBatchInto(int k, int max_batch, std::vector<Candidate>* out);
+  void PopBatchInto(int k, int64_t max_batch, std::vector<Candidate>* out);
 
   // Every queued candidate, in the order PopBatch would pop them.
   void SortedInto(std::vector<Candidate>* out) const;

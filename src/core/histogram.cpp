@@ -102,8 +102,7 @@ void RetainNextParents(const GrowQueue& queue, const TrainParams& params,
                        HistogramPool* hists) {
   const size_t keep =
       params.use_hist_subtraction
-          ? static_cast<size_t>(
-                std::min<int64_t>(params.EffectiveTopK(), splits_left))
+          ? queue.NextBatchSize(params.EffectiveTopK(), splits_left)
           : 0;
   queue.SortedInto(scratch);
   for (size_t i = keep; i < scratch->size(); ++i) {

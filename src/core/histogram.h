@@ -82,15 +82,15 @@ void AssignHistogram(GHPair* dst, const GHPair* src, size_t n);
 // child's histogram in place.
 void SubtractHistogramInPlace(GHPair* hist, const GHPair* sibling, size_t n);
 
-// The retention rule of subtraction-aware growth, shared by the single-node
-// and sharded builders and run before each batch is popped: with
-// use_hist_subtraction, only the first min(K, splits_left) queued
-// candidates in pop order (the next batch's parents) keep their
-// histograms; every other queued histogram is released (all of them
-// without subtraction). A split whose parent kept one builds its smaller
-// child and transfers the parent's buffer to the larger, any other split
-// builds both, so the pool never holds more than two buffers per split of
-// a batch, the peak of building both children. `scratch` is reused storage.
+// The retention rule of subtraction-aware growth, run before each batch is
+// popped: with use_hist_subtraction, only the next batch's parents (the
+// first GrowQueue::NextBatchSize(K, splits_left) queued candidates in pop
+// order) keep their histograms; every other queued histogram is released
+// (all of them without subtraction). A split whose parent kept one builds
+// its smaller child and transfers the parent's buffer to the larger, any
+// other split builds both, so the pool never holds more than two buffers
+// per split of a batch, the peak of building both children. `scratch` is
+// reused storage.
 void RetainNextParents(const GrowQueue& queue, const TrainParams& params,
                        int64_t splits_left, std::vector<Candidate>* scratch,
                        HistogramPool* hists);

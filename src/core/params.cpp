@@ -21,8 +21,9 @@ int TrainParams::EffectiveTopK() const {
     case GrowPolicy::kTopK:
       return topk;
     case GrowPolicy::kDepthwise:
-      // Depthwise pops whole levels; the value is unused but a sane
-      // default keeps instrumentation uniform.
+      // Depthwise pops whole levels and retains histograms for the whole
+      // next level (GrowQueue::NextBatchSize ignores K), so topk changes
+      // neither the tree nor the work; it is returned as-is.
       return topk;
   }
   return 1;

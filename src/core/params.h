@@ -60,6 +60,10 @@ struct TrainParams {
   int topk = 32;                   // K: candidates popped per step
 
   // --- parallelism (Table IV) ---
+  // Sharded training (DistributedGbdt) always runs DP, whatever is set
+  // here: its exchange needs the point after DP's reduce where every
+  // built histogram is final, which MP's overlap graph and ASYNC's node
+  // tasks do not have.
   ParallelMode mode = ParallelMode::kSYNC;
   int num_threads = 0;             // 0 = ThreadPool::DefaultThreads()
   // Row block size for DP task scheduling; 0 = auto (batch_rows / threads).

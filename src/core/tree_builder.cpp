@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "distributed/communicator.h"
 
 namespace harp {
 
@@ -24,10 +25,12 @@ void ScatterLeafValues(const RegTree& tree, const RowPartitioner& partitioner,
 }
 
 HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
-                                 const TrainParams& params, ThreadPool& pool)
+                                 const TrainParams& params, ThreadPool& pool,
+                                 Communicator* comm)
     : matrix_(matrix),
       params_(params.Validate()),
       pool_(pool),
+      comm_(comm),
       evaluator_(params),
       hists_(matrix.TotalBins()),
       partitioner_(matrix.num_rows(), params.use_membuf),
@@ -35,6 +38,12 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       use_quant_(params.quantize_hist &&
                  params.mode != ParallelMode::kASYNC),
       simd_level_(ResolveSimdLevel(params.simd)) {
+  // MP's overlap graph finds one node while others still build, and ASYNC
+  // grows nodes independently: neither leaves a point where every rank
+  // can exchange a batch's histograms.
+  HARP_CHECK(comm_ == nullptr || params.mode == ParallelMode::kDP)
+      << "sharded training runs DP only (got " << ToString(params.mode)
+      << ")";
   if (params.quantize_hist && params.mode == ParallelMode::kASYNC) {
     HARP_LOG(Warning) << "quantized histograms are not supported in ASYNC "
                          "mode (serial node tasks use the f64 path); "
@@ -60,7 +69,8 @@ size_t HarpTreeBuilder::ScratchCapacity() const {
          find_hist_.capacity() + find_sums_.capacity() + slots_cap_ +
          node_remaining_cap_ + build_pos_.capacity() +
          build_child_pos_.capacity() + sub_of_build_.capacity() +
-         queued_.capacity();
+         queued_.capacity() + child_rows_.capacity() +
+         exchange_ptrs_.capacity();
 }
 
 ParallelMode HarpTreeBuilder::ChooseMode(size_t batch_nodes,
@@ -213,9 +223,7 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
     const size_t cap_before = ScratchCapacity();
     const int64_t remaining = max_leaves - leaves;
     RetainNextParents(queue, params_, remaining, &queued_, &hists_);
-    queue.PopBatchInto(
-        params_.EffectiveTopK(),
-        static_cast<int>(std::min<int64_t>(remaining, 1 << 20)), &batch_);
+    queue.PopBatchInto(params_.EffectiveTopK(), remaining, &batch_);
     if (batch_.empty()) break;
     ++topk_batches_;
 
@@ -234,6 +242,45 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
     }
     if (ScratchCapacity() != cap_before) ++scratch_grows_;
   }
+}
+
+QuantScales HarpTreeBuilder::AgreeQuantScales(
+    const std::vector<GradientPair>& gradients) {
+  QuantStats stats = ComputeQuantStats(gradients, &pool_);
+  double maxima[2] = {stats.g_max, stats.h_max};
+  comm_->AllreduceMax(maxima, 2);
+  double sums[3] = {stats.g_sum, stats.h_sum, stats.rows};
+  comm_->AllreduceSum(sums, 3);
+  stats.g_max = maxima[0];
+  stats.h_max = maxima[1];
+  stats.g_sum = sums[0];
+  stats.h_sum = sums[1];
+  stats.rows = sums[2];
+  return QuantScalesFromStats(stats);
+}
+
+void HarpTreeBuilder::AllreduceChildRows(RegTree& tree) {
+  child_rows_.clear();
+  for (int child : children_) child_rows_.push_back(tree.node(child).num_rows);
+  comm_->AllreduceSum(child_rows_.data(), child_rows_.size());
+  for (size_t i = 0; i < children_.size(); ++i) {
+    tree.mutable_node(children_[i]).num_rows =
+        static_cast<uint32_t>(child_rows_[i]);
+  }
+}
+
+void HarpTreeBuilder::ExchangeHists(std::span<const int> nodes) {
+  const int64_t start = NowNs();
+  exchange_ptrs_.clear();
+  for (int node : nodes) exchange_ptrs_.push_back(hists_.Get(node));
+  Communicator::HistExchangeOpts opts;
+  opts.sparse = params_.comm_compress == "sparse";
+  opts.quant = use_quant_;
+  opts.scales = quant_round_.scales;
+  comm_->AllreduceHistograms(exchange_ptrs_.data(),
+                             static_cast<uint32_t>(nodes.size()),
+                             static_cast<uint32_t>(matrix_.TotalBins()), opts);
+  reduce_ns_ += NowNs() - start;
 }
 
 void HarpTreeBuilder::FinalizeLeaves(RegTree& tree) const {
@@ -262,7 +309,9 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     // varies per tree so stochastic rounding errors stay uncorrelated
     // across rounds.
     const Stopwatch quant_watch;
-    quant_round_.scales = ComputeQuantScales(gradients, &pool_);
+    quant_round_.scales = comm_ != nullptr
+                              ? AgreeQuantScales(gradients)
+                              : ComputeQuantScales(gradients, &pool_);
     QuantizeGradients(gradients, quant_round_.scales,
                       params_.quant_stochastic,
                       params_.seed + static_cast<uint64_t>(trees_built_),
@@ -276,6 +325,12 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
   TreeNode& root = tree.mutable_node(0);
   root.sum = partitioner_.NodeSum(0, &pool_);
   root.num_rows = partitioner_.num_rows();
+  if (comm_ != nullptr) {
+    int64_t rows = root.num_rows;
+    comm_->AllreduceSum(&root.sum, 1);
+    comm_->AllreduceSum(&rows, 1);
+    root.num_rows = static_cast<uint32_t>(rows);
+  }
 
   // Root histogram + split.
   hists_.Acquire(0);
@@ -288,7 +343,8 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     } else {
       mp_.Build(ctx, root_nodes);
     }
-    hist_updates_ += static_cast<int64_t>(root.num_rows) *
+    if (comm_ != nullptr) ExchangeHists(root_nodes);
+    hist_updates_ += static_cast<int64_t>(partitioner_.num_rows()) *
                      static_cast<int64_t>(matrix_.num_features());
     build_ns_ += watch.ElapsedNs();
   }

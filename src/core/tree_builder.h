@@ -22,6 +22,8 @@
 
 namespace harp {
 
+class Communicator;
+
 // Interface shared by HarpGBDT and the reimplemented baselines so one
 // boosting driver (RunBoosting in gbdt.h) trains with any of them.
 class TreeBuilderBase {
@@ -54,10 +56,17 @@ void ScatterLeafValues(const RegTree& tree, const RowPartitioner& partitioner,
 
 // HarpGBDT's builder: block-wise DP/MP, SYNC phase mixing, ASYNC node
 // parallelism, MemBuf, optional histogram subtraction.
+//
+// The same builder grows every rank's trees in sharded training: with a
+// non-null `comm`, `matrix` holds this rank's rows and the builder agrees
+// with its peers at four points (quantization stats, root sum and
+// histogram, child row counts, built child histograms), so every rank
+// makes the same split decisions on global statistics. Sharded training
+// runs DP only (params.mode must be kDP).
 class HarpTreeBuilder final : public TreeBuilderBase {
  public:
   HarpTreeBuilder(const BinnedMatrix& matrix, const TrainParams& params,
-                  ThreadPool& pool);
+                  ThreadPool& pool, Communicator* comm = nullptr);
 
   RegTree BuildTree(const std::vector<GradientPair>& gradients,
                     TrainStats* stats) override;
@@ -132,8 +141,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // exactly one region launch per TopK batch (fills children_ and found_,
   // one Candidate per child, possibly invalid).
   void FusedStep(RegTree& tree);
-  // Barrier epilogue after the partition: child num_rows, PlanBuild, and
-  // (MP) overlap-graph staging.
+  // Barrier epilogue after the partition: child num_rows (global ones when
+  // sharded), PlanBuild, and (MP) overlap-graph staging.
   void PlanAfterPartition(RegTree& tree);
   // Stages the MP overlap work-graph: cube tasks, per-node drain
   // counters, and the slot ring seeded with the build tasks.
@@ -151,6 +160,18 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // Sets leaf_value on every leaf from its gradient sum.
   void FinalizeLeaves(RegTree& tree) const;
 
+  // --- sharded training (comm_ != nullptr only) ---
+
+  // This round's quantization scales from stats agreed across ranks:
+  // maxima via AllreduceMax, sums and row count via the rank-ordered
+  // AllreduceSum, so every rank derives identical scales.
+  QuantScales AgreeQuantScales(const std::vector<GradientPair>& gradients);
+  // Replaces the children's local row counts with global ones.
+  void AllreduceChildRows(RegTree& tree);
+  // Turns the local histograms of `nodes` into global ones (one exchange,
+  // booked to reduce_ns_).
+  void ExchangeHists(std::span<const int> nodes);
+
   // Capacity fingerprint of the per-step member scratch (zero-alloc
   // accounting; see scratch_grow_events()).
   size_t ScratchCapacity() const;
@@ -158,6 +179,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   const BinnedMatrix& matrix_;
   const TrainParams& params_;
   ThreadPool& pool_;
+  Communicator* const comm_;  // nullptr = local training
   SplitEvaluator evaluator_;
   HistogramPool hists_;
   RowPartitioner partitioner_;
@@ -184,6 +206,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   };
   std::vector<SubtractJob> subtract_list_;
   std::vector<Candidate> queued_;  // RetainNextParents scratch
+  std::vector<int64_t> child_rows_;     // AllreduceChildRows scratch
+  std::vector<GHPair*> exchange_ptrs_;  // ExchangeHists scratch
   std::vector<Candidate> found_;
   int64_t build_rows_ = 0;
   ParallelMode plan_mode_ = ParallelMode::kDP;

@@ -8,10 +8,12 @@
 // Two build schedules run inside the region:
 //
 //   DP: barriered phases (HistBuilderDP::BuildInRegion, the same sequence
-//   the root and sharded builds run through HistBuilderDP::Build), then
-//   subtract, then the find grid. Replica reduction makes cross-phase
-//   overlap pointless here: no child histogram is final before the reduce
-//   barrier anyway.
+//   the root build runs through HistBuilderDP::Build), then subtract, then
+//   the find grid. Replica reduction makes cross-phase overlap pointless
+//   here: no child histogram is final before the reduce barrier anyway.
+//   In sharded training one more barrier epilogue exchanges the built
+//   histograms between the reduce and the subtraction, so every rank
+//   subtracts and finds on global histograms.
 //
 //   MP: an overlap work-graph. Cube tasks write disjoint regions of the
 //   shared child histograms, so a node's histogram is final the moment the
@@ -41,6 +43,7 @@ void HarpTreeBuilder::PlanAfterPartition(RegTree& tree) {
   for (int child : children_) {
     tree.mutable_node(child).num_rows = partitioner_.NodeSize(child);
   }
+  if (comm_ != nullptr) AllreduceChildRows(tree);
   PlanBuild(tree);
   if (plan_mode_ == ParallelMode::kMP) StageOverlap(tree);
 }
@@ -208,6 +211,9 @@ void HarpTreeBuilder::FusedStep(RegTree& tree) {
 
     if (plan_mode_ == ParallelMode::kDP) {
       dp_.BuildInRegion(ctx, build_list_, region, thread_id, &reduce_ns_);
+      if (comm_ != nullptr) {
+        region.Barrier(thread_id, [this] { ExchangeHists(build_list_); });
+      }
       if (!subtract_list_.empty()) {
         region.ForDynamic(
             thread_id, static_cast<int64_t>(subtract_list_.size()), 1,

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "common/random.h"
 #include "core/grow_policy.h"
@@ -468,31 +470,35 @@ TEST(DistributedGbdt, SingleWorkerLearns) {
   EXPECT_GT(Auc(data.labels(), result.model.Predict(data)), 0.85);
 }
 
+// Identical structure, splits and row counts. f64 leaf values may differ
+// in the last bits with the summation order of a different worker count.
+void ExpectSameTrees(const GbdtModel& a, const GbdtModel& b, int workers) {
+  ASSERT_EQ(a.NumTrees(), b.NumTrees());
+  for (size_t t = 0; t < a.NumTrees(); ++t) {
+    const RegTree& x = a.tree(t);
+    const RegTree& y = b.tree(t);
+    ASSERT_EQ(x.num_nodes(), y.num_nodes())
+        << "workers " << workers << " tree " << t;
+    for (int i = 0; i < x.num_nodes(); ++i) {
+      EXPECT_EQ(x.node(i).IsLeaf(), y.node(i).IsLeaf());
+      EXPECT_EQ(x.node(i).split_feature, y.node(i).split_feature);
+      EXPECT_EQ(x.node(i).split_bin, y.node(i).split_bin);
+      EXPECT_EQ(x.node(i).default_left, y.node(i).default_left);
+      EXPECT_EQ(x.node(i).num_rows, y.node(i).num_rows);
+      if (x.node(i).IsLeaf()) {
+        EXPECT_NEAR(x.node(i).leaf_value, y.node(i).leaf_value, 1e-9);
+      }
+    }
+  }
+}
+
 TEST(DistributedGbdt, WorkerCountDoesNotChangeTheModel) {
   const Dataset data = TrainData();
   const DistributedResult one = DistributedGbdt::Train(data, 1, DistParams());
   for (int workers : {2, 4}) {
-    const DistributedResult many =
-        DistributedGbdt::Train(data, workers, DistParams());
-    ASSERT_EQ(one.model.NumTrees(), many.model.NumTrees());
-    for (size_t t = 0; t < one.model.NumTrees(); ++t) {
-      // Identical structure and splits. Leaf values may differ at the
-      // last float bit from summation order; compare structure + predict.
-      const RegTree& a = one.model.tree(t);
-      const RegTree& b = many.model.tree(t);
-      ASSERT_EQ(a.num_nodes(), b.num_nodes()) << "workers " << workers;
-      for (int i = 0; i < a.num_nodes(); ++i) {
-        EXPECT_EQ(a.node(i).IsLeaf(), b.node(i).IsLeaf());
-        if (!a.node(i).IsLeaf()) {
-          EXPECT_EQ(a.node(i).split_feature, b.node(i).split_feature);
-          EXPECT_EQ(a.node(i).split_bin, b.node(i).split_bin);
-          EXPECT_EQ(a.node(i).default_left, b.node(i).default_left);
-        } else {
-          EXPECT_NEAR(a.node(i).leaf_value, b.node(i).leaf_value, 1e-9);
-        }
-        EXPECT_EQ(a.node(i).num_rows, b.node(i).num_rows);
-      }
-    }
+    ExpectSameTrees(one.model,
+                    DistributedGbdt::Train(data, workers, DistParams()).model,
+                    workers);
   }
 }
 
@@ -506,21 +512,7 @@ TEST(DistributedGbdt, MatchesSingleNodeTrainerStructure) {
   p.mode = ParallelMode::kDP;
   p.num_threads = 1;
   GbdtTrainer trainer(p);
-  const GbdtModel local = trainer.Train(data);
-  ASSERT_EQ(local.NumTrees(), dist.model.NumTrees());
-  for (size_t t = 0; t < local.NumTrees(); ++t) {
-    const RegTree& a = local.tree(t);
-    const RegTree& b = dist.model.tree(t);
-    ASSERT_EQ(a.num_nodes(), b.num_nodes()) << "tree " << t;
-    for (int i = 0; i < a.num_nodes(); ++i) {
-      if (!a.node(i).IsLeaf()) {
-        EXPECT_EQ(a.node(i).split_feature, b.node(i).split_feature);
-        EXPECT_EQ(a.node(i).split_bin, b.node(i).split_bin);
-      } else {
-        EXPECT_NEAR(a.node(i).leaf_value, b.node(i).leaf_value, 1e-9);
-      }
-    }
-  }
+  ExpectSameTrees(trainer.Train(data), dist.model, 3);
 }
 
 TEST(DistributedGbdt, CommunicationVolumeScalesWithWorkers) {
@@ -574,25 +566,138 @@ TEST(DistributedGbdt, QuantileAlphaIsHonoured) {
   EXPECT_NEAR(covered / static_cast<double>(preds.size()), 0.9, 0.02);
 }
 
-TEST(DistributedGbdtDeath, RejectsRowSubsampling) {
-  const Dataset data = TrainData(200);
-  TrainParams p = DistParams(1);
-  p.subsample = 0.5;
-  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "subsample < 1");
+// ---------- one builder, local and sharded ----------
+
+// Every objective, sampling mode, subtraction setting, storage layout and
+// cell type trains sharded. Labels per objective are derived from one
+// regression draw; LambdaRank gets uneven queries, which the shards must
+// not split.
+using ShardCase = std::tuple<ObjectiveKind, int /*sampling*/, bool /*sub*/,
+                             bool /*sparse*/, bool /*quant*/>;
+
+Dataset ShardSweepData(ObjectiveKind objective, bool sparse) {
+  SyntheticSpec spec;
+  spec.rows = 600;
+  spec.features = sparse ? 40 : 10;
+  spec.density = sparse ? 0.08 : 0.9;
+  spec.density_skew = sparse ? 0.8 : 0.0;
+  spec.mean_distinct = 32.0;
+  spec.distinct_cv = 0.5;
+  spec.sparse_storage = sparse;
+  spec.label = LabelKind::kRegression;
+  spec.seed = 3301;
+  Dataset data = GenerateSynthetic(spec);
+  for (float& y : data.mutable_labels()) {
+    switch (objective) {
+      case ObjectiveKind::kLogistic:
+        y = y > 0.0f ? 1.0f : 0.0f;
+        break;
+      case ObjectiveKind::kPoisson:
+        y = std::round(std::exp(0.5f * y));
+        break;
+      case ObjectiveKind::kLambdaRank:
+        y = std::clamp(std::floor(y + 2.0f), 0.0f, 4.0f);
+        break;
+      case ObjectiveKind::kSquaredError:
+      case ObjectiveKind::kQuantile:
+        break;
+    }
+  }
+  if (objective == ObjectiveKind::kLambdaRank) {
+    std::vector<uint32_t> group_ptr = {0};
+    for (uint32_t q = 0; group_ptr.back() < spec.rows; ++q) {
+      group_ptr.push_back(
+          std::min(spec.rows, group_ptr.back() + 4 + (q * 7) % 11));
+    }
+    data.SetGroupPtr(std::move(group_ptr));
+  }
+  return data;
 }
 
-TEST(DistributedGbdtDeath, RejectsColumnSubsampling) {
-  const Dataset data = TrainData(200);
-  TrainParams p = DistParams(1);
-  p.colsample_bytree = 0.5;
-  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "colsample_bytree < 1");
+TrainParams ShardSweepParams(const ShardCase& c) {
+  const auto [objective, sampling, sub, sparse, quant] = c;
+  TrainParams p = DistParams(3);
+  p.objective = objective;
+  p.quantile_alpha = 0.9;
+  p.base_score = objective == ObjectiveKind::kLogistic ? 0.5 : 1.0;
+  p.min_split_loss = 0.0;
+  p.min_child_weight = 0.01;
+  p.subsample = sampling == 1 ? 0.7 : 1.0;
+  p.colsample_bytree = sampling == 2 ? 0.6 : 1.0;
+  p.use_hist_subtraction = sub;
+  p.quantize_hist = quant;
+  p.comm_compress = sparse ? "sparse" : "dense";
+  return p;
 }
 
-TEST(DistributedGbdtDeath, RejectsObjectivesThatNeedQueryGroups) {
-  const Dataset data = TrainData(200);
-  TrainParams p = DistParams(1);
-  p.objective = ObjectiveKind::kLambdaRank;
-  EXPECT_DEATH(DistributedGbdt::Train(data, 2, p), "needs query groups");
+class ShardSweep : public ::testing::TestWithParam<ShardCase> {};
+
+TEST_P(ShardSweep, OneWorkerMatchesLocalAndWorkersAgree) {
+  const bool quant = std::get<4>(GetParam());
+  const Dataset data =
+      ShardSweepData(std::get<0>(GetParam()), std::get<3>(GetParam()));
+  TrainParams p = ShardSweepParams(GetParam());
+  const int threads = 2;
+
+  // W=1 runs the local builder's exact code plus identity collectives.
+  TrainParams local = p;
+  local.mode = ParallelMode::kDP;
+  local.num_threads = threads;
+  const std::string expect = SerializeModel(GbdtTrainer(local).Train(data));
+  EXPECT_EQ(expect,
+            SerializeModel(DistributedGbdt::Train(data, 1, p, threads).model));
+
+  const GbdtModel two = DistributedGbdt::Train(data, 2, p, threads).model;
+  for (const RegTree& tree : two.trees()) ASSERT_GT(tree.num_nodes(), 1);
+  for (const int workers : {3, 4}) {
+    const GbdtModel many =
+        DistributedGbdt::Train(data, workers, p, threads).model;
+    if (quant) {
+      // Exact cells: the worker count cannot change a bit.
+      EXPECT_EQ(SerializeModel(two), SerializeModel(many))
+          << "workers " << workers;
+    } else {
+      ExpectSameTrees(two, many, workers);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ObjectivesSampling, ShardSweep,
+    ::testing::Combine(
+        ::testing::Values(ObjectiveKind::kLogistic,
+                          ObjectiveKind::kSquaredError,
+                          ObjectiveKind::kQuantile, ObjectiveKind::kPoisson,
+                          ObjectiveKind::kLambdaRank),
+        ::testing::Values(0, 1, 2), ::testing::Bool(), ::testing::Bool(),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ShardCase>& info) {
+      const int sampling = std::get<1>(info.param);
+      std::string name = ToString(std::get<0>(info.param));
+      name += sampling == 0 ? "_all" : sampling == 1 ? "_rows" : "_cols";
+      name += std::get<2>(info.param) ? "_sub" : "_both";
+      name += std::get<3>(info.param) ? "_sparse" : "_dense";
+      name += std::get<4>(info.param) ? "_quant" : "_f64";
+      return name;
+    });
+
+// Rank 0 reports the same grow counters as a one-worker run, with the
+// exchange booked to reduce inside build.
+TEST(DistributedGbdt, ReportsRankZeroTrainStats) {
+  const Dataset data = TrainData(2000);
+  TrainParams p = DistParams(4);
+  p.quantize_hist = true;
+  p.comm_compress = "sparse";
+  const DistributedResult one = DistributedGbdt::Train(data, 1, p);
+  const DistributedResult two = DistributedGbdt::Train(data, 2, p);
+  EXPECT_EQ(two.stats.trees, p.num_trees);
+  EXPECT_GT(two.stats.topk_batches, 0);
+  EXPECT_EQ(two.stats.topk_batches, one.stats.topk_batches);
+  EXPECT_EQ(two.stats.nodes_split, one.stats.nodes_split);
+  EXPECT_GT(two.stats.reduce_ns, 0);
+  EXPECT_GE(two.stats.build_hist_ns, two.stats.reduce_ns);
+  // Each rank scans only its own rows.
+  EXPECT_LT(two.stats.hist_updates, one.stats.hist_updates);
 }
 
 // The acceptance gate of the compressed exchange: at every worker count,
@@ -949,20 +1054,7 @@ TEST(DistributedGbdt, F64SubtractionKeepsStructureAcrossWorkers) {
   const DistributedResult one = DistributedGbdt::Train(data, 1, p);
   for (const int workers : {2, 3, 4}) {
     const DistributedResult many = DistributedGbdt::Train(data, workers, p);
-    ASSERT_EQ(one.model.NumTrees(), many.model.NumTrees());
-    for (size_t t = 0; t < one.model.NumTrees(); ++t) {
-      const RegTree& a = one.model.tree(t);
-      const RegTree& b = many.model.tree(t);
-      ASSERT_EQ(a.num_nodes(), b.num_nodes())
-          << "workers " << workers << " tree " << t;
-      for (int i = 0; i < a.num_nodes(); ++i) {
-        EXPECT_EQ(a.node(i).IsLeaf(), b.node(i).IsLeaf());
-        EXPECT_EQ(a.node(i).split_feature, b.node(i).split_feature);
-        EXPECT_EQ(a.node(i).split_bin, b.node(i).split_bin);
-        EXPECT_EQ(a.node(i).default_left, b.node(i).default_left);
-        EXPECT_EQ(a.node(i).num_rows, b.node(i).num_rows);
-      }
-    }
+    ExpectSameTrees(one.model, many.model, workers);
     ExpectFewerHistsThanBuildBoth(many, p.num_trees);
   }
 }

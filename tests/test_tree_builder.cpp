@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "core/gbdt.h"
+#include "core/model_io.h"
 #include "core/tree_builder.h"
 #include "test_util.h"
 
@@ -169,6 +170,26 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_" +
              ToString(std::get<2>(info.param));
     });
+
+// Depthwise pops a whole level per batch, whatever K, so K must not change
+// the work either: every parent of the next level keeps its histogram and
+// builds only its smaller child.
+TEST(TreeBuilder, DepthwiseRetentionKeepsTheWholeLevel) {
+  const Env env = MakeEnv(6000, 9, 71);
+  TrainParams p = BaseParams(GrowPolicy::kDepthwise, 6);
+  p.num_trees = 3;
+  p.num_threads = 2;
+  std::string models[2];
+  TrainStats stats[2];
+  const int ks[2] = {4, 64};
+  for (int i = 0; i < 2; ++i) {
+    p.topk = ks[i];
+    models[i] = SerializeModel(GbdtTrainer(p).Train(env.ds, &stats[i]));
+  }
+  EXPECT_EQ(models[0], models[1]);
+  EXPECT_EQ(stats[0].hist_updates, stats[1].hist_updates);
+  EXPECT_GT(stats[0].nodes_split, p.num_trees * 2 * ks[0]);
+}
 
 // ---------- ASYNC ----------
 
